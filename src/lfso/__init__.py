@@ -4,8 +4,7 @@ an executable verification suite."""
 
 from .core import (GradientOracle, IterationRecord, Lfso, RPolicy, RunTrace,
                    SolverConfig, Termination, Vector, as_vector,
-                   compute_r_tilde, euclidean_norm, lfso_step, run_fixed_gd,
-                   run_lfso_gd)
+                   euclidean_norm, run_fixed_gd, run_lfso_gd)
 from .errors import (AssumptionUnmetError, AssumptionWarning, GridEmptyError,
                      InsufficientDataError, LfsoError, MissingDiagnosticsError,
                      NegativeCurvatureError, NoConvergenceWarning,

@@ -143,9 +143,11 @@ def config_from_sources(file_values: dict, cli_values: dict) -> ExperimentConfig
 def _fig1a_etas(file_values: dict) -> dict:
     etas = dict(FIG1A_DEFAULT_ETAS)
     for key, text in file_values.items():
-        if key.startswith("fig1a_eta_p"):
-            p = _parse_scalar(key[len("fig1a_eta_p"):], int, key)
-            etas[p] = _parse_scalar(text, float, key)
+        if not key.startswith("fig1a_eta_p"):
+            raise ConfigError(f"unknown config key: {key} "
+                              "(reproduce reads only fig1a_eta_p<p>)")
+        p = _parse_scalar(key[len("fig1a_eta_p"):], int, key)
+        etas[p] = _parse_scalar(text, float, key)
     return etas
 
 
@@ -459,11 +461,12 @@ def cmd_verify(args) -> int:
     return 0 if total == 0 else 1
 
 
-def _default_seed() -> int:
+def _seed(text: str) -> int:
     try:
-        return int(os.environ.get("LFSO_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(
+            f"invalid seed {text!r}: --seed and LFSO_SEED take an integer") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(handler=cmd_reproduce)
 
     ver = sub.add_parser("verify", help="run the verification suite")
-    ver.add_argument("--seed", type=int, default=_default_seed())
+    # argparse applies ``type`` to a string default only when the verify
+    # command runs without --seed, so a bad LFSO_SEED leaves other commands alone
+    ver.add_argument("--seed", type=_seed, default=os.environ.get("LFSO_SEED", "0"))
     ver.add_argument("--include-controls", action="store_true",
                      help="also run the deliberately broken control inputs")
     ver.set_defaults(handler=cmd_verify)

@@ -10,7 +10,8 @@ cannot leave the ball where the bound holds, and then moves by
 
 For ``0 < eta < 2`` every step strictly decreases the objective by at least
 ``eta * (2 - eta) / (2 L_k) * ||grad f(x_k)||^2``.  A fixed-stepsize baseline
-sharing the same trace schema is included for comparison runs.
+sharing the same iteration loop and trace schema is included for comparison
+runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteValueError, ShapeMismatchError, ZeroOracleError
+from .errors import (LfsoError, NonFiniteValueError, ShapeMismatchError,
+                     ZeroOracleError)
 
 Vector = np.ndarray
 
@@ -199,85 +201,127 @@ def _call(fn: Callable, x: Vector, what: str):
         raise NonFiniteValueError(f"{what} overflowed: {exc}") from exc
 
 
-def _r_tilde(oracle: Lfso, x: Vector, r_k: float, eta: float,
-             big_g: float, grad_norm: float) -> float:
-    """Inflate r_k using the gradient magnitude big_g (norm or upper bound)."""
-    if not (r_k > 0 and np.isfinite(r_k)):
-        raise ValueError(f"r_k must be positive and finite, got {r_k}")
-    l_at_r = _checked(oracle.eval(x, r_k), "oracle value L(x, R_k)")
-    if l_at_r < 0:
-        raise ValueError(f"oracle value must be >= 0, got {l_at_r}")
-    if l_at_r == 0.0:
-        if grad_norm > 0.0:
+class _OracleStep:
+    """Step rule of the oracle-driven solver: the radius policy gives R_k,
+    which is inflated to R~_k so the step stays inside B(x_k, R~_k), and the
+    step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``."""
+
+    algorithm = "lfso"
+    diverged = None
+
+    def __init__(self, oracle: Lfso, problem: GradientOracle,
+                 config: SolverConfig):
+        self.oracle = oracle
+        self.config = config
+        self.bound = problem.grad_norm_bound if config.use_grad_bound else None
+
+    def __call__(self, x: Vector, g: Vector, grad_norm: float):
+        config, oracle = self.config, self.oracle
+        r_k = config.r_policy(x)
+        big_g = grad_norm
+        if self.bound is not None:
+            big_g = _checked(self.bound(x), "gradient-norm bound")
+        if not (r_k > 0 and np.isfinite(r_k)):
+            raise ValueError(f"r_k must be positive and finite, got {r_k}")
+        l_at_r = _checked(oracle.eval(x, r_k), "oracle value L(x, R_k)")
+        if l_at_r < 0:
+            raise ValueError(f"oracle value must be >= 0, got {l_at_r}")
+        if l_at_r == 0.0:
             raise ZeroOracleError(
                 "L(x, R_k) = 0 at a point with nonzero gradient; "
                 "the oracle does not match this objective")
-        return r_k
-    return _checked(max(r_k, eta * big_g / l_at_r), "inflated radius")
+        r_tilde = _checked(max(r_k, config.eta * big_g / l_at_r), "inflated radius")
+        l_k = _checked(oracle.eval(x, r_tilde), "oracle value L(x, R~_k)")
+        if l_k <= 0.0:
+            raise ZeroOracleError(
+                "L(x, R~_k) = 0 at a point with nonzero gradient")
+        step = (config.eta / l_k) * g
+        fields = dict(r_k=float(r_k), r_tilde_k=r_tilde, l_k=l_k,
+                      step_norm=_checked(euclidean_norm(step), "step norm"))
+        if config.r_policy.kind == "grad-g-norm":
+            fields["d_k"] = r_tilde / float(r_k)
+        return step, fields
 
-
-def _gradient_magnitude(problem: GradientOracle, x: Vector, grad_norm: float,
-                        use_grad_bound: bool) -> float:
-    if use_grad_bound and problem.grad_norm_bound is not None:
-        return _checked(problem.grad_norm_bound(x), "gradient-norm bound")
-    return grad_norm
-
-
-def compute_r_tilde(oracle: Lfso, problem: GradientOracle, x: Vector,
-                    r_k: float, eta: float, use_grad_bound: bool = False) -> float:
-    """Inflated radius ``max(R_k, eta * G / L(x, R_k))`` where ``G`` is the
-    gradient norm at ``x`` or, when requested and available, the problem's
-    upper bound on it.  Always at least ``r_k``."""
-    x = as_vector(x)
-    grad_norm = _checked(euclidean_norm(_call(problem.grad, x, "gradient")), "gradient norm")
-    big_g = _gradient_magnitude(problem, x, grad_norm, use_grad_bound)
-    return _r_tilde(oracle, x, r_k, eta, big_g, grad_norm)
-
-
-def lfso_step(oracle: Lfso, problem: GradientOracle, x: Vector,
-              config: SolverConfig, r_k: float):
-    """One oracle-driven step from ``x``.  Returns the next iterate and the
-    iteration record (with ``k`` left at 0 for the caller to fill in).
-
-    The step length never exceeds the inflated radius, so the remainder
-    bound used to guarantee descent applies along the whole step.
-    """
-    g = _call(problem.grad, x, "gradient")
-    grad_norm = _checked(euclidean_norm(g), "gradient norm")
-    if grad_norm == 0.0:
-        raise ValueError("lfso_step requires a nonzero gradient")
-    f_val = _checked(_call(problem.eval, x, "objective"), "objective value")
-    big_g = _gradient_magnitude(problem, x, grad_norm, config.use_grad_bound)
-    r_tilde = _r_tilde(oracle, x, r_k, config.eta, big_g, grad_norm)
-    l_k = _checked(oracle.eval(x, r_tilde), "oracle value L(x, R~_k)")
-    if l_k <= 0.0:
-        raise ZeroOracleError(
-            "L(x, R~_k) = 0 at a point with nonzero gradient")
-    step = (config.eta / l_k) * g
-    step_norm = _checked(euclidean_norm(step), "step norm")
-    next_x = x - step
-    if not np.all(np.isfinite(next_x)):
-        raise NonFiniteValueError("next iterate is not finite")
-    record = IterationRecord(
-        k=0, f_val=f_val, grad_norm=grad_norm, r_k=float(r_k),
-        r_tilde_k=r_tilde, l_k=l_k, step_norm=step_norm)
-    if config.r_policy.kind == "grad-g-norm":
-        record.d_k = r_tilde / float(r_k)
-    return next_x, record
-
-
-def _stationary_termination(oracle: Lfso, config: SolverConfig,
-                            x: Vector) -> Termination:
-    """At an exact stationary point, report whether the oracle has also
-    collapsed to zero there (degenerate minimizer) or is still positive."""
-    try:
-        r_probe = max(0.0, config.r_policy(x))
-        l_probe = float(oracle.eval(x, r_probe))
-    except Exception:
+    def stationary(self, x: Vector) -> Termination:
+        """At an exact stationary point, report whether the oracle has also
+        collapsed to zero there (degenerate minimizer) or is still positive."""
+        try:
+            r_probe = max(0.0, self.config.r_policy(x))
+            l_probe = float(self.oracle.eval(x, r_probe))
+        except (LfsoError, ValueError, ArithmeticError):
+            return Termination.STATIONARY_EXACT
+        if l_probe == 0.0:
+            return Termination.ORACLE_ZERO
         return Termination.STATIONARY_EXACT
-    if l_probe == 0.0:
-        return Termination.ORACLE_ZERO
-    return Termination.STATIONARY_EXACT
+
+
+class _FixedStep:
+    """Step rule of the fixed-stepsize baseline: the step is
+    ``eta * grad f(x_k)``, recorded with the sentinel row."""
+
+    algorithm = "fixed"
+
+    def __init__(self, eta: float):
+        self.eta = eta
+
+    def __call__(self, x: Vector, g: Vector, grad_norm: float):
+        eta = self.eta
+        return eta * g, dict(r_k=0.0, r_tilde_k=0.0, l_k=1.0 / eta,
+                             step_norm=eta * grad_norm)
+
+    def stationary(self, x: Vector) -> Termination:
+        return Termination.STATIONARY_EXACT
+
+    def diverged(self, k: int) -> str:
+        return f"fixed-step iteration diverged at k={k} (eta={self.eta})"
+
+
+def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
+             grad_tol: float, keep_iterates: bool,
+             inner_value: Optional[Callable[[Vector], float]] = None) -> RunTrace:
+    """The iteration both solvers share.  Each iterate is evaluated once;
+    ``rule(x, g, grad_norm)`` returns the step and the record's step fields.
+    The evaluation of the last iterate gives the final values.  Once
+    ``max_iters`` steps are taken the run stops on the budget, whatever the
+    gradient at the last iterate."""
+    x = as_vector(x0).copy()
+    if x.size != problem.dim:
+        raise ShapeMismatchError(
+            f"x0 has dimension {x.size}, problem expects {problem.dim}")
+    records = []
+    iterates = [x.copy()] if keep_iterates else None
+    termination = Termination.MAX_ITERATIONS
+    for k in range(max_iters + 1):
+        try:
+            g = _call(problem.grad, x, "gradient")
+            grad_norm = _checked(euclidean_norm(g), "gradient norm")
+            f_val = _checked(_call(problem.eval, x, "objective"), "objective value")
+            if k == max_iters:
+                break
+            if grad_norm == 0.0:
+                termination = rule.stationary(x)
+                break
+            if grad_norm <= grad_tol:
+                termination = Termination.GRADIENT_TOLERANCE
+                break
+            step, fields = rule(x, g, grad_norm)
+            next_x = x - step
+            if not np.all(np.isfinite(next_x)):
+                raise NonFiniteValueError("next iterate is not finite")
+        except NonFiniteValueError as exc:
+            if rule.diverged is None:
+                raise
+            raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
+        record = IterationRecord(k=k, f_val=f_val, grad_norm=grad_norm, **fields)
+        if inner_value is not None:
+            record.g_val = float(inner_value(x))
+        records.append(record)
+        x = next_x
+        if keep_iterates:
+            iterates.append(x.copy())
+    return RunTrace(records=records, final_x=x, termination=termination,
+                    final_f=f_val, final_grad_norm=grad_norm,
+                    iterates=iterates, algorithm=rule.algorithm)
 
 
 def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
@@ -291,36 +335,9 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
     the record (used to diagnose composition runs).  ``keep_iterates``
     stores every iterate on the trace, final point included.
     """
-    x = as_vector(x0).copy()
-    if x.size != problem.dim:
-        raise ShapeMismatchError(
-            f"x0 has dimension {x.size}, problem expects {problem.dim}")
-    records = []
-    iterates = [x.copy()] if keep_iterates else None
-    termination = Termination.MAX_ITERATIONS
-    for k in range(config.max_iters):
-        grad_norm = _checked(euclidean_norm(_call(problem.grad, x, "gradient")), "gradient norm")
-        if grad_norm == 0.0:
-            termination = _stationary_termination(oracle, config, x)
-            break
-        if grad_norm <= config.grad_tol:
-            termination = Termination.GRADIENT_TOLERANCE
-            break
-        r_k = config.r_policy(x)
-        next_x, record = lfso_step(oracle, problem, x, config, r_k)
-        record.k = k
-        if inner_value is not None:
-            record.g_val = float(inner_value(x))
-        records.append(record)
-        x = next_x
-        if keep_iterates:
-            iterates.append(x.copy())
-    final_f = _checked(_call(problem.eval, x, "objective"), "final objective value")
-    final_grad_norm = _checked(euclidean_norm(_call(problem.grad, x, "gradient")),
-                               "final gradient norm")
-    return RunTrace(records=records, final_x=x, termination=termination,
-                    final_f=final_f, final_grad_norm=final_grad_norm,
-                    iterates=iterates, algorithm="lfso")
+    return _descend(problem, x0, _OracleStep(oracle, problem, config),
+                    config.max_iters, config.grad_tol, keep_iterates,
+                    inner_value)
 
 
 def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
@@ -335,41 +352,5 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
         raise ValueError(f"eta must be positive, got {eta}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    x = as_vector(x0).copy()
-    if x.size != problem.dim:
-        raise ShapeMismatchError(
-            f"x0 has dimension {x.size}, problem expects {problem.dim}")
-    records = []
-    iterates = [x.copy()] if keep_iterates else None
-    termination = Termination.MAX_ITERATIONS
-    for k in range(max_iters):
-        try:
-            g = _call(problem.grad, x, "gradient")
-            grad_norm = _checked(euclidean_norm(g), "gradient norm")
-            if grad_norm == 0.0:
-                termination = Termination.STATIONARY_EXACT
-                break
-            if grad_norm <= grad_tol:
-                termination = Termination.GRADIENT_TOLERANCE
-                break
-            f_val = _checked(_call(problem.eval, x, "objective"),
-                             "objective value")
-            next_x = x - eta * g
-            if not np.all(np.isfinite(next_x)):
-                raise NonFiniteValueError("next iterate is not finite")
-        except NonFiniteValueError as exc:
-            raise NonFiniteValueError(
-                f"fixed-step iteration diverged at k={k} (eta={eta}): "
-                f"{exc}") from exc
-        records.append(IterationRecord(
-            k=k, f_val=f_val, grad_norm=grad_norm, r_k=0.0, r_tilde_k=0.0,
-            l_k=1.0 / eta, step_norm=eta * grad_norm))
-        x = next_x
-        if keep_iterates:
-            iterates.append(x.copy())
-    final_f = _checked(_call(problem.eval, x, "objective"), "final objective value")
-    final_grad_norm = _checked(euclidean_norm(_call(problem.grad, x, "gradient")),
-                               "final gradient norm")
-    return RunTrace(records=records, final_x=x, termination=termination,
-                    final_f=final_f, final_grad_norm=final_grad_norm,
-                    iterates=iterates, algorithm="fixed")
+    return _descend(problem, x0, _FixedStep(eta), max_iters, grad_tol,
+                    keep_iterates)

@@ -172,7 +172,7 @@ def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
     problem = LpRegressionProblem(
         a=a, b=b, p=int(p),
         spec_norm=spectral_norm(a),
-        max_row_norm=float(np.max(np.linalg.norm(a, axis=1))),
+        max_row_norm=float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a)))),
         cond=condition_number(a),
     )
     if theory_mode and not problem.theory_ok:

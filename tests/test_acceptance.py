@@ -157,11 +157,13 @@ def test_criterion_5_quartic_threshold():
     assert raw_step(1.1 * root) < 1.1 * root      # containment satisfied
     quartic = QuarticProblem()
     objective, oracle = quartic.objective(), quartic.lfso()
-    config = SolverConfig(r_policy=RPolicy.constant(1.0), eta=1.0)
     for r in np.geomspace(1e-3, root, 60):
-        from lfso.core import lfso_step
-        _, rec = lfso_step(oracle, objective, np.array([1.0]), config, float(r))
+        config = SolverConfig(r_policy=RPolicy.constant(float(r)), eta=1.0,
+                              max_iters=1)
+        trace = run_lfso_gd(oracle, objective, np.array([1.0]), config)
+        rec = trace.records[0]
         assert rec.step_norm <= rec.r_tilde_k * (1.0 + 1e-14)
+        assert abs(trace.final_x[0] - 1.0) == pytest.approx(rec.step_norm, rel=1e-15)
     print(f"[acceptance 5] containment threshold root = {root!r} within "
           "5e-6 of 0.16238; raw step flips at the root; inflation restores "
           "containment on [1e-3, root]: PASS")

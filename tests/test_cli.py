@@ -240,6 +240,14 @@ class TestReproduce:
                  tmp_path / "figs", "--max-iters", "50", "--config", cfg])
         assert "fig1a p=2 eta=0.005" in capsys.readouterr().out
 
+    def test_config_key_other_than_fig1a_eta_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("max_iters = 5\n")
+        assert run_cli(["reproduce", "--figure", "fig2b", "--out-dir",
+                        tmp_path / "figs", "--config", cfg]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
     def test_all_figures(self, tmp_path):
         out = tmp_path / "figs"
         assert run_cli(["reproduce", "--figure", "all", "--out-dir", out,
@@ -280,3 +288,11 @@ class TestVerifyCommand:
         parser = cli.build_parser()
         args = parser.parse_args(["verify"])
         assert args.seed == 77
+
+    def test_bad_seed_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("LFSO_SEED", "abc")
+        assert cli.build_parser().parse_args(["run"]).seed is None
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify"])
+        assert exc.value.code == 2
+        assert "LFSO_SEED" in capsys.readouterr().err

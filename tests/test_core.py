@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
-                       Termination, as_vector, compute_r_tilde,
-                       euclidean_norm, lfso_step, run_fixed_gd, run_lfso_gd)
+                       Termination, as_vector, euclidean_norm, run_fixed_gd,
+                       run_lfso_gd)
 from lfso.errors import (NonFiniteValueError, ShapeMismatchError,
                          ZeroOracleError)
 from lfso.problems import QuarticProblem, make_lp_regression, make_norm_power
@@ -32,33 +32,32 @@ def quartic_chain(x, eta, r):
 QUARTIC = QuarticProblem()
 
 
+def one_step(oracle, problem, x, r, eta=1.0, use_grad_bound=False,
+             r_policy=None):
+    """A single oracle-driven step from ``x`` with trial radius ``r``."""
+    config = SolverConfig(r_policy=r_policy or RPolicy.constant(r), eta=eta,
+                          max_iters=1, use_grad_bound=use_grad_bound)
+    return run_lfso_gd(oracle, problem, np.asarray(x, dtype=float), config)
+
+
 class TestComputeRTilde:
+    """The inflated radius R~_k recorded by a one-step run."""
+
     def test_quartic_inflates_small_radius(self):
-        r_tilde = compute_r_tilde(QUARTIC.lfso(), QUARTIC.objective(),
-                                  np.array([1.0]), 0.1, 1.0)
-        assert r_tilde == pytest.approx(4.0 / 24.24, rel=1e-15)
-        assert r_tilde == pytest.approx(0.16501650165016502, rel=1e-15)
+        rec = one_step(QUARTIC.lfso(), QUARTIC.objective(), [1.0], 0.1).records[0]
+        assert rec.r_tilde_k == pytest.approx(4.0 / 24.24, rel=1e-15)
+        assert rec.r_tilde_k == pytest.approx(0.16501650165016502, rel=1e-15)
 
     def test_quartic_keeps_large_radius(self):
-        r_tilde = compute_r_tilde(QUARTIC.lfso(), QUARTIC.objective(),
-                                  np.array([1.0]), 0.5, 1.0)
-        assert r_tilde == 0.5
+        rec = one_step(QUARTIC.lfso(), QUARTIC.objective(), [1.0], 0.5).records[0]
+        assert rec.r_tilde_k == 0.5
         assert 4.0 / 30.0 < 0.5
-
-    def test_zero_gradient_returns_r_k(self):
-        problem, oracle = quadratic(3)
-        assert compute_r_tilde(oracle, problem, np.zeros(3), 0.7, 1.0) == 0.7
-
-    def test_zero_oracle_with_zero_gradient_returns_r_k(self):
-        problem, _ = quadratic(2)
-        dead = Lfso(eval=lambda x, r: 0.0)
-        assert compute_r_tilde(dead, problem, np.zeros(2), 0.3, 1.0) == 0.3
 
     def test_zero_oracle_with_gradient_raises(self):
         problem, _ = quadratic(2)
         dead = Lfso(eval=lambda x, r: 0.0)
         with pytest.raises(ZeroOracleError):
-            compute_r_tilde(dead, problem, np.ones(2), 0.3, 1.0)
+            one_step(dead, problem, np.ones(2), 0.3)
 
     def test_gradient_bound_substitution(self):
         problem = GradientOracle(
@@ -66,17 +65,18 @@ class TestComputeRTilde:
             grad_norm_bound=lambda x: 2.0 * euclidean_norm(2.0 * x))
         oracle = Lfso(eval=lambda x, r: 2.0)
         x = np.array([3.0, 4.0])
-        plain = compute_r_tilde(oracle, problem, x, 1e-6, 1.0)
-        bounded = compute_r_tilde(oracle, problem, x, 1e-6, 1.0,
-                                  use_grad_bound=True)
-        assert plain == pytest.approx(5.0)
-        assert bounded == pytest.approx(10.0)
+        plain = one_step(oracle, problem, x, 1e-6).records[0]
+        bounded = one_step(oracle, problem, x, 1e-6,
+                           use_grad_bound=True).records[0]
+        assert plain.r_tilde_k == pytest.approx(5.0)
+        assert bounded.r_tilde_k == pytest.approx(10.0)
 
     def test_result_never_below_r_k(self):
         problem, oracle = quadratic(4)
         for r in (1e-8, 0.1, 5.0, 100.0):
-            got = compute_r_tilde(oracle, problem, np.ones(4), r, 0.5)
-            assert got >= r
+            rec = one_step(oracle, problem, np.ones(4), r, eta=0.5).records[0]
+            assert rec.r_k == r
+            assert rec.r_tilde_k >= r
 
     def test_no_inflation_when_radius_already_covers_step(self):
         # eta * ||grad|| <= L * r_k leaves the radius untouched
@@ -84,17 +84,18 @@ class TestComputeRTilde:
         gnorm = euclidean_norm(problem.grad(np.ones(4)))
         for eta in (0.5, 1.0, 1.9):
             r = eta * gnorm / 2.0
-            assert compute_r_tilde(oracle, problem, np.ones(4), r, eta) == r
-            assert compute_r_tilde(oracle, problem, np.ones(4), 2 * r, eta) == 2 * r
+            for radius in (r, 2 * r):
+                rec = one_step(oracle, problem, np.ones(4), radius,
+                               eta=eta).records[0]
+                assert rec.r_tilde_k == radius
 
 
 class TestLfsoStep:
-    def config(self, eta=1.0):
-        return SolverConfig(r_policy=RPolicy.constant(0.1), eta=eta)
+    """The record and the next iterate of a one-step run."""
 
     def test_quartic_chain_frozen_values(self):
-        next_x, rec = lfso_step(QUARTIC.lfso(), QUARTIC.objective(),
-                                np.array([1.0]), self.config(), 0.1)
+        trace = one_step(QUARTIC.lfso(), QUARTIC.objective(), [1.0], 0.1)
+        rec, next_x = trace.records[0], trace.final_x
         r_tilde, l_k, expected_next = quartic_chain(1.0, 1.0, 0.1)
         assert rec.r_tilde_k == pytest.approx(r_tilde, rel=1e-15)
         assert rec.l_k == pytest.approx(l_k, rel=1e-15)
@@ -107,29 +108,57 @@ class TestLfsoStep:
     def test_quadratic_one_step_to_minimizer(self):
         problem, oracle = quadratic(5)
         x = np.array([3.0, -1.0, 0.5, 2.0, -4.0])
-        next_x, rec = lfso_step(oracle, problem, x, self.config(), 0.1)
-        assert np.all(next_x == 0.0)
-        assert rec.step_norm == pytest.approx(euclidean_norm(x))
+        trace = one_step(oracle, problem, x, 0.1)
+        assert np.all(trace.final_x == 0.0)
+        assert trace.records[0].step_norm == pytest.approx(euclidean_norm(x))
 
     def test_norm_power_step_factor(self):
         problem, oracle = make_norm_power(10, 2)
         x0 = np.ones(10)
-        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad))
-        r_k = config.r_policy(x0)
-        next_x, rec = lfso_step(oracle, problem.objective(), x0, config, r_k)
-        assert np.allclose(next_x, (1.0 - 1.0 / 27.0) * x0, rtol=1e-15)
-        assert rec.d_k == pytest.approx(1.0)
-
-    def test_stationary_point_rejected(self):
-        problem, oracle = quadratic(2)
-        with pytest.raises(ValueError):
-            lfso_step(oracle, problem, np.zeros(2), self.config(), 0.1)
+        trace = one_step(oracle, problem.objective(), x0, None,
+                         r_policy=RPolicy.grad_g_norm(problem.g.grad))
+        assert np.allclose(trace.final_x, (1.0 - 1.0 / 27.0) * x0, rtol=1e-15)
+        assert trace.records[0].d_k == pytest.approx(1.0)
 
     def test_oracle_overflow_raises(self):
         problem, _ = quadratic(2)
         bad = Lfso(eval=lambda x, r: float("inf"))
         with pytest.raises(NonFiniteValueError):
-            lfso_step(bad, problem, np.ones(2), self.config(), 0.1)
+            one_step(bad, problem, np.ones(2), 0.1)
+
+
+def counted(problem, calls):
+    """``problem`` with its objective and gradient counting their calls."""
+    def count(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+    return GradientOracle(dim=problem.dim, eval=count("eval", problem.eval),
+                          grad=count("grad", problem.grad))
+
+
+@pytest.mark.parametrize("solver", ["lfso", "fixed"])
+@pytest.mark.parametrize("eta, max_iters, grad_tol, termination, steps", [
+    pytest.param(0.5, 4, 0.0, Termination.MAX_ITERATIONS, 4, id="budget"),
+    pytest.param(0.5, 100, 0.1, Termination.GRADIENT_TOLERANCE, 6, id="tol"),
+    pytest.param(1.0, 100, 0.0, Termination.STATIONARY_EXACT, 1, id="stationary"),
+])
+def test_each_iterate_evaluated_once(solver, eta, max_iters, grad_tol,
+                                     termination, steps):
+    # on ||x||^2 with L = 2 both solvers halve x (eta = 0.5) or jump to 0
+    problem, oracle = quadratic(3)
+    calls = {"eval": 0, "grad": 0}
+    if solver == "lfso":
+        config = SolverConfig(r_policy=RPolicy.constant(1.0), eta=eta,
+                              max_iters=max_iters, grad_tol=grad_tol)
+        trace = run_lfso_gd(oracle, counted(problem, calls), np.ones(3), config)
+    else:
+        trace = run_fixed_gd(counted(problem, calls), np.ones(3), eta / 2.0,
+                             max_iters=max_iters, grad_tol=grad_tol)
+    assert trace.termination is termination
+    assert trace.num_steps == steps
+    assert calls == {"eval": steps + 1, "grad": steps + 1}
 
 
 class TestRunLfsoGd:
@@ -179,6 +208,14 @@ class TestRunLfsoGd:
         trace = run_lfso_gd(oracle, problem.objective(), np.zeros(4), config)
         assert trace.num_steps == 0
         assert trace.termination is Termination.ORACLE_ZERO
+
+    def test_stationary_probe_propagates_unexpected_errors(self):
+        def policy(x):
+            raise RuntimeError("policy failed")
+        problem, oracle = quadratic(2)
+        config = SolverConfig(r_policy=RPolicy.callback(policy))
+        with pytest.raises(RuntimeError):
+            run_lfso_gd(oracle, problem, np.zeros(2), config)
 
     def test_shape_mismatch(self):
         problem, oracle = quadratic(3)

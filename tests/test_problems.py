@@ -99,6 +99,12 @@ class TestLpRegression:
         assert objective.eval(x) == pytest.approx(float(x @ x))
         assert np.allclose(objective.grad(x), 2.0 * x)
 
+    def test_max_row_norm_matches_rows(self):
+        a = np.random.default_rng(5).normal(size=(7, 13))
+        problem, _ = make_lp_regression(a, np.zeros(7), 2)
+        expected = max(math.sqrt(math.fsum(v * v for v in row)) for row in a)
+        assert problem.max_row_norm == pytest.approx(expected, rel=1e-15)
+
     def test_bound_dominates_gradient_norm(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(5, 8))

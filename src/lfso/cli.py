@@ -287,7 +287,8 @@ def cmd_run(args) -> int:
     bundle = build_experiment(cfg)
     trace = execute(cfg, bundle)
     write_trace_csv(cfg.out_path, trace)
-    label = (f"run problem={cfg.problem} p={cfg.p} d={cfg.d} "
+    p_part = "" if cfg.problem == "quartic" else f" p={cfg.p}"
+    label = (f"run problem={cfg.problem}{p_part} d={bundle.objective.dim} "
              f"eta={cfg.eta:g} solver={cfg.solver}")
     print(summarize_trace(trace, label))
     print(f"trace written to {cfg.out_path}")

@@ -41,7 +41,7 @@ def as_vector(values) -> Vector:
 def euclidean_norm(v: Vector) -> float:
     """2-norm with rescaling outside [1e-140, 1e140], where squaring the
     entries would under- or overflow and report a spurious 0 or inf."""
-    m = float(np.max(np.abs(v), initial=0.0))
+    m = float(np.abs(v).max(initial=0.0))
     if m == 0.0 or 1e-140 < m < 1e140:
         return float(np.linalg.norm(v))
     if not np.isfinite(m):

@@ -42,7 +42,12 @@ class AssumptionUnmetError(LfsoError):
 
 
 class NoConvergenceWarning(UserWarning):
-    """Power iteration hit its iteration cap; best estimate returned."""
+    """An iterative estimate hit its iteration cap; best estimate returned.
+
+    Nothing in the package raises it now: the structure constants come from
+    a dense eigendecomposition, which has no cap.  Kept so that code which
+    filters or counts it keeps working.
+    """
 
 
 class AssumptionWarning(UserWarning):

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Lfso, Vector
+from .core import Lfso, Vector, euclidean_norm
 from .errors import (GridEmptyError, NegativeCurvatureError,
                      NonFiniteValueError)
 
@@ -92,7 +92,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
     h_double_prime = problem.h_double_prime
 
     def evaluate(x: Vector, r: float) -> float:
-        w = l_g * float(r) + float(np.linalg.norm(g.grad(x)))
+        w = l_g * float(r) + euclidean_norm(g.grad(x))
         v = w * w
         u = v / (2.0 * mu_g)
         hpp = float(h_double_prime(u))

@@ -16,12 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .core import GradientOracle, Lfso, Vector, as_vector
-from .errors import (AssumptionWarning, NoConvergenceWarning,
-                     ShapeMismatchError, ZeroResidualError)
+from .errors import AssumptionWarning, ShapeMismatchError, ZeroResidualError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
-
-SPECTRAL_REL_TOL = 1e-12
-SPECTRAL_MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,12 @@ def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
             f"matrix has {a.shape[0]} rows but b has length {b.size}")
     if int(p) < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    spec_norm, cond = _spectral_constants(a)
     problem = LpRegressionProblem(
         a=a, b=b, p=int(p),
-        spec_norm=spectral_norm(a),
+        spec_norm=spec_norm,
         max_row_norm=float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a)))),
-        cond=condition_number(a),
+        cond=cond,
     )
     if theory_mode and not problem.theory_ok:
         warnings.warn(
@@ -184,71 +181,33 @@ def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
     return problem, lp_regression_lfso(problem)
 
 
-def _power_iteration_top(mult: Callable[[Vector], Vector], m: int,
-                         rel_tol: float, max_iters: int):
-    """Largest eigenvalue of a PSD operator given by ``mult``."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(max_iters):
-        w = mult(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, True
-        v = w / nw
-        lam = float(v @ mult(v))
-        if abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            return lam, True
-        lam_prev = lam
-    return lam_prev, False
+def _spectral_constants(a: np.ndarray):
+    """(||A||_2, cond(A)) from one eigendecomposition of the smaller Gram
+    matrix G (A A^T if n <= d, else A^T A), whose eigenvalues are the squared
+    singular values of A.
 
-
-def spectral_norm(a: np.ndarray, rel_tol: float = SPECTRAL_REL_TOL,
-                  max_iters: int = SPECTRAL_MAX_ITERS) -> float:
-    """||A||_2 by power iteration on the smaller Gram matrix.
-
-    Warns (and returns the best estimate) if the iteration hits its cap
-    without the Rayleigh quotient settling.
+    cond is inf when lambda_min(G) <= m * eps * lambda_max(G), m the side of
+    G: below that the rounding of G itself hides sigma_min(A).
     """
     a = np.asarray(a, dtype=np.float64)
     gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    lam, converged = _power_iteration_top(
-        lambda v: gram @ v, gram.shape[0], rel_tol, max_iters)
-    if not converged:
-        warnings.warn(
-            f"power iteration did not settle within {max_iters} iterations",
-            NoConvergenceWarning, stacklevel=2)
-    return float(np.sqrt(max(lam, 0.0)))
+    lam = np.linalg.eigvalsh(gram)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    sigma_max = float(np.sqrt(max(lam_max, 0.0)))
+    if lam_min <= gram.shape[0] * float(np.finfo(np.float64).eps) * lam_max:
+        return sigma_max, float("inf")
+    return sigma_max, sigma_max / float(np.sqrt(lam_min))
 
 
-def condition_number(a: np.ndarray, rel_tol: float = SPECTRAL_REL_TOL,
-                     max_iters: int = SPECTRAL_MAX_ITERS) -> float:
-    """2-norm condition number sigma_max / sigma_min.
+def spectral_norm(a: np.ndarray) -> float:
+    """||A||_2, the largest singular value of A."""
+    return _spectral_constants(a)[0]
 
-    The smallest singular value comes from power iteration on the inverse
-    of the smaller Gram matrix, applied through a dense solve.  Returns
-    inf for rank-deficient (numerically singular) matrices.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    sigma_max = spectral_norm(a, rel_tol, max_iters)
-    if sigma_max == 0.0:
-        return float("inf")
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    try:
-        inv_lam, converged = _power_iteration_top(
-            lambda v: np.linalg.solve(gram, v), gram.shape[0],
-            rel_tol, max_iters)
-    except np.linalg.LinAlgError:
-        return float("inf")
-    if not converged:
-        warnings.warn(
-            f"inverse power iteration did not settle within {max_iters} "
-            "iterations", NoConvergenceWarning, stacklevel=2)
-    if inv_lam <= 0.0:
-        return float("inf")
-    sigma_min = float(np.sqrt(1.0 / inv_lam))
-    return sigma_max / sigma_min
+
+def condition_number(a: np.ndarray) -> float:
+    """2-norm condition number sigma_max / sigma_min; inf for rank-deficient
+    (numerically singular) matrices."""
+    return _spectral_constants(a)[1]
 
 
 def regression_constants(problem: LpRegressionProblem, eta: float):

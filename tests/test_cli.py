@@ -57,6 +57,12 @@ class TestRunCommand:
         assert columns["R"][0] == 0.1
         assert columns["R_tilde"][0] == pytest.approx(4.0 / 24.24, rel=1e-12)
 
+    def test_quartic_summary_reports_run_dimension(self, tmp_path, capsys):
+        assert run_cli(["run", "--problem", "quartic", "--max-iters", "3",
+                        "--out", tmp_path / "q.csv"]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("run problem=quartic d=1 eta=1 solver=lfso ")
+
     def test_fixed_solver_quadratic(self, tmp_path):
         out = tmp_path / "f.csv"
         assert run_cli(["run", "--problem", "norm2-pow", "--p", "1",
@@ -91,13 +97,14 @@ class TestRunCommand:
         refit = fit_linear_rate([float(v) for v in ratios])
         assert refit.slope == fit.slope
 
-    def test_regression_file_problem(self, tmp_path):
+    def test_regression_file_problem(self, tmp_path, capsys):
         data = tmp_path / "system.txt"
         data.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n0.5 -1 2\n")
         out = tmp_path / "r.csv"
         assert run_cli(["run", "--problem", "regression-file", "--data", data,
                         "--p", "2", "--max-iters", "300", "--grad-tol", "1e-12",
                         "--out", out]) == 0
+        assert " p=2 d=3 " in capsys.readouterr().out
         columns = read_csv(out)
         assert columns["grad_ratio"][-1] <= 1e-9
 

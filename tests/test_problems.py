@@ -180,6 +180,32 @@ class TestSpectralNorm:
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         assert condition_number(a) == float("inf")
 
+    def test_clustered_spectrum_within_svd_rounding(self):
+        # Singular values spread evenly over [1, 1.001]: power iteration
+        # converges slowly on such a spectrum and stops short of sigma_max.
+        n, d = 40, 400
+        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((d, n)))
+        a = (1.0 + 1e-3 * np.linspace(0.0, 1.0, n))[:, None] * q.T
+        svals = np.linalg.svd(a, compute_uv=False)
+        slack = max(n, d) * np.finfo(np.float64).eps * svals[0]
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm_a = spectral_norm(a)
+            cond = condition_number(a)
+        assert abs(norm_a - svals[0]) <= slack
+        ref = svals[0] / svals[-1]
+        assert cond >= ref - ref * (slack / svals[0] + slack / svals[-1])
+
+    def test_transpose_has_same_norm(self):
+        a = np.random.default_rng(9).normal(size=(6, 11))
+        assert spectral_norm(a.T) == spectral_norm(a)
+
+    def test_tall_rank_deficient_is_singular(self):
+        a = np.random.default_rng(10).normal(size=(12, 4))
+        a[:, 3] = a[:, 1]
+        assert condition_number(a) == float("inf")
+
 
 class TestRegressionConstants:
     def test_identity_p2(self):

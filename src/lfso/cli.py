@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -116,11 +116,14 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_CASTS = {
-    "problem": str, "d": int, "p": int, "eta": float, "max_iters": int,
-    "grad_tol": float, "r_policy": str, "x0": str, "seed": int,
-    "out_path": str, "solver": str, "data_path": str,
-}
+def _field_type(hint):
+    """The scalar type of a config field, ``Optional[T]`` read as ``T``."""
+    args = [t for t in get_args(hint) if t is not type(None)]
+    return args[0] if args else hint
+
+
+_CONFIG_CASTS = {key: _field_type(hint)
+                 for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def config_from_sources(file_values: dict, cli_values: dict) -> ExperimentConfig:

@@ -17,6 +17,7 @@ runs.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,6 +50,35 @@ def euclidean_norm(v: Vector) -> float:
     return m * float(np.linalg.norm(v / m))
 
 
+# (weakref A, weakref b, key of x, A x - b), read and replaced as one tuple so
+# concurrent callers never see a torn entry.
+_last_residual = None
+
+
+def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
+    """``A x - b``, remembered for the last ``(A, b, x)`` asked about.
+
+    The objective, gradient, gradient-norm bound, oracle and radius policy
+    of a regression problem all read the residual of the same iterate, so
+    one product with A serves them all.  A repeat call returns the
+    remembered (read-only) array when ``a`` and ``b`` are the same objects
+    and ``x`` has the same shape, dtype and bytes; the key is the value of
+    ``x``, so an ``x`` changed in place is recomputed.  ``a`` and ``b`` must
+    not change in place while in use.  They are held by weak reference, so
+    the memo keeps no matrix alive.
+    """
+    global _last_residual
+    x = np.asarray(x)
+    key = (x.shape, x.dtype, x.tobytes())
+    last = _last_residual
+    if last is not None and last[0]() is a and last[1]() is b and last[2] == key:
+        return last[3]
+    r = a @ x - b
+    r.setflags(write=False)
+    _last_residual = (weakref.ref(a), weakref.ref(b), key, r)
+    return r
+
+
 @dataclass(frozen=True)
 class GradientOracle:
     """First-order access to an objective: values, gradients, and an
@@ -66,9 +96,6 @@ class Lfso:
     factor on ``B(x, R)`` and is non-decreasing in ``R``."""
 
     eval: Callable[[Vector, float], float]
-
-    def __call__(self, x: Vector, r: float) -> float:
-        return float(self.eval(x, r))
 
 
 @dataclass(frozen=True)
@@ -94,10 +121,11 @@ class RPolicy:
 
     @staticmethod
     def residual_inf_norm(a: np.ndarray, b: Vector) -> "RPolicy":
-        """R_k = ||A x_k - b||_inf."""
+        """R_k = ||A x_k - b||_inf, read from :func:`residual`."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        return RPolicy("residual-inf", lambda x: float(np.max(np.abs(a @ x - b))))
+        return RPolicy("residual-inf",
+                       lambda x: float(np.max(np.abs(residual(a, b, x)))))
 
     @staticmethod
     def callback(fn: Callable[[Vector], float]) -> "RPolicy":

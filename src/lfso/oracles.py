@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Lfso, Vector, euclidean_norm
+from .core import Lfso, Vector, euclidean_norm, residual
 from .errors import (GridEmptyError, NegativeCurvatureError,
                      NonFiniteValueError)
 
@@ -130,7 +130,7 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
     row_pow = ipow(float(problem.max_row_norm), 2 * p - 2)
 
     def evaluate(x: Vector, r: float) -> float:
-        res_inf = float(np.max(np.abs(a @ x - b)))
+        res_inf = float(np.max(np.abs(residual(a, b, x))))
         value = coef * (ipow(res_inf, 2 * p - 2) + row_pow * ipow(float(r), 2 * p - 2))
         if not np.isfinite(value):
             raise NonFiniteValueError(f"regression oracle value is {value}")

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GradientOracle, Lfso, Vector, as_vector
+from .core import GradientOracle, Lfso, Vector, as_vector, residual
 from .errors import AssumptionWarning, ShapeMismatchError, ZeroResidualError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
 
@@ -87,7 +87,8 @@ class LpRegressionProblem:
         return self.cond ** 4 < self.n / (self.n - 1)
 
     def residual(self, x: Vector) -> Vector:
-        return self.a @ x - self.b
+        """``A x - b`` (read-only), shared through :func:`lfso.core.residual`."""
+        return residual(self.a, self.b, x)
 
     def objective(self) -> GradientOracle:
         a, b, p = self.a, self.b, int(self.p)
@@ -95,13 +96,13 @@ class LpRegressionProblem:
         bound_coef = two_p * float(self.spec_norm) * float(np.sqrt(self.n))
 
         def value(x: Vector) -> float:
-            return float(np.sum(ipow(a @ x - b, two_p)))
+            return float(np.sum(ipow(residual(a, b, x), two_p)))
 
         def gradient(x: Vector) -> Vector:
-            return two_p * (a.T @ ipow(a @ x - b, two_p - 1))
+            return two_p * (a.T @ ipow(residual(a, b, x), two_p - 1))
 
         def grad_norm_bound(x: Vector) -> float:
-            res_inf = float(np.max(np.abs(a @ x - b)))
+            res_inf = float(np.max(np.abs(residual(a, b, x))))
             return bound_coef * ipow(res_inf, two_p - 1)
 
         return GradientOracle(dim=self.d, eval=value, grad=gradient,
@@ -152,9 +153,14 @@ def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
     """Problem f(x) = ||Ax - b||_{2p}^{2p} paired with its oracle.
 
     Structure constants (||A||_2, max row norm, condition number) are
-    computed once here and cached on the problem.  ``theory_mode`` warns if
-    the conditioning requirement for the Q-linear guarantee fails; the
-    solver still runs outside it.
+    computed once here and cached on the problem.  The objective, gradient,
+    gradient-norm bound, oracle and ``RPolicy.residual_inf_norm`` read the
+    residual ``Ax - b`` through :func:`lfso.core.residual`, so one iterate
+    costs one product with A and one with A^T.  Both the cached constants
+    and the shared residual assume that A and b do not change in place
+    while the problem is in use.  ``theory_mode`` warns if the conditioning
+    requirement for the Q-linear guarantee fails; the solver still runs
+    outside it.
     """
     a = np.asarray(a, dtype=np.float64)
     b = as_vector(b)

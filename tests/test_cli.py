@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ class TestConfigFile:
         cfg.write_text("stepsize = 12\n")
         assert run_cli(["run", "--config", cfg]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_every_field_parses_to_its_type(self, tmp_path):
+        values = {"problem": "lp-norm", "d": "3", "p": "2", "eta": "0.5",
+                  "max_iters": "7", "grad_tol": "1e-9",
+                  "r_policy": "residual-inf", "x0": "ones", "seed": "5",
+                  "out_path": "t.csv", "solver": "fixed",
+                  "data_path": "system.txt"}
+        assert set(values) == {f.name for f in fields(cli.ExperimentConfig)}
+        expected = cli.ExperimentConfig(
+            problem="lp-norm", d=3, p=2, eta=0.5, max_iters=7, grad_tol=1e-9,
+            r_policy="residual-inf", x0="ones", seed=5, out_path="t.csv",
+            solver="fixed", data_path="system.txt")
+        cfg = cli.config_from_sources(values, {})
+        assert cfg == expected
+        for key in values:
+            assert type(getattr(cfg, key)) is type(getattr(expected, key)), key
+        path = tmp_path / "exp.cfg"
+        path.write_text("d = 1.5\n")
+        assert run_cli(["run", "--config", path]) == 2
 
     def test_bad_value_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,11 +1,21 @@
+import dis
+import gc
+import linecache
 import math
+import os
+import sys
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lfso.core import RPolicy, SolverConfig, euclidean_norm, run_lfso_gd
+import lfso
+from lfso.core import (RPolicy, SolverConfig, euclidean_norm, residual,
+                       run_lfso_gd)
 from lfso.errors import (AssumptionWarning, ShapeMismatchError,
                          ZeroResidualError)
+from lfso.oracles import ipow
 from lfso.problems import (QuarticProblem, condition_number,
                            load_regression_data, make_lp_regression,
                            make_norm_power, regression_constants,
@@ -324,3 +334,146 @@ class TestRegressionDataFile:
         path.write_text("1 2\n1 2\n0 0\n")
         with pytest.raises(ValueError):
             load_regression_data(path)
+
+
+def count_products(run):
+    """Run ``run()`` and count the matrix products (``@``) that lfso's own
+    source executes, as ``transpose`` (left operand ``<name>.T``) or
+    ``forward``.  The opcodes are traced, so every product is seen whatever
+    object it is made on and whichever function makes it."""
+    package = os.path.dirname(lfso.__file__) + os.sep
+    kinds = {}
+    counts = Counter()
+
+    def products(code):
+        if code not in kinds:
+            kinds[code] = {}
+            for ins in dis.get_instructions(code):
+                if ins.opname == "BINARY_OP" and ins.argrepr == "@":
+                    line = linecache.getline(code.co_filename, ins.positions.lineno)
+                    left = line[ins.positions.col_offset:].split("@")[0]
+                    kinds[code][ins.offset] = (
+                        "transpose" if left.strip().endswith(".T") else "forward")
+        return kinds[code]
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            kind = products(frame.f_code).get(frame.f_lasti)
+            if kind is not None:
+                counts[kind] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_opcodes = True
+        return opcode
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, counts
+
+
+class TestSharedResidual:
+    """One ``A x - b`` per iterate, shared by f, grad f, the gradient-norm
+    bound, the oracle and the residual-inf radius."""
+
+    @staticmethod
+    def build(seed=0, n=5, d=8, p=2):
+        rng = np.random.default_rng(seed)
+        problem, oracle = make_lp_regression(rng.normal(size=(n, d)),
+                                             rng.normal(size=n), p)
+        return problem, oracle, rng
+
+    def test_x_changed_in_place_is_recomputed(self):
+        problem, _, rng = self.build()
+        a, b = problem.a, problem.b
+        x = rng.normal(size=a.shape[1])
+        first = residual(a, b, x).copy()
+        x[3] += 1.0
+        second = residual(a, b, x)
+        assert np.array_equal(second, a @ x - b)
+        assert not np.array_equal(second, first)
+
+    def test_other_b_at_same_x_gets_its_own_residual(self):
+        problem, _, rng = self.build()
+        a, b = problem.a, problem.b
+        other_b = b + 1.0
+        x = rng.normal(size=a.shape[1])
+        assert np.array_equal(residual(a, b, x), a @ x - b)
+        assert np.array_equal(residual(a, other_b, x), a @ x - other_b)
+
+    def test_returned_array_is_read_only(self):
+        problem, _, rng = self.build()
+        r = problem.residual(rng.normal(size=problem.d))
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0] = 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_reader_matches_the_direct_formula(self, p):
+        problem, oracle, rng = self.build(seed=p, p=p)
+        a, b, two_p = problem.a, problem.b, 2 * p
+        objective = problem.objective()
+        policy = RPolicy.residual_inf_norm(a, b)
+        coef = 2 * p * (2 * p - 1) * problem.spec_norm ** 2 * float(2 ** (2 * p - 3))
+        row_pow = ipow(problem.max_row_norm, 2 * p - 2)
+        bound_coef = two_p * problem.spec_norm * float(np.sqrt(problem.n))
+        readers = {
+            "f": objective.eval,
+            "grad": lambda x: objective.grad(x).tobytes(),
+            "bound": objective.grad_norm_bound,
+            "oracle": lambda x: oracle.eval(x, 0.3),
+            "policy": policy,
+            "residual": lambda x: problem.residual(x).tobytes(),
+        }
+
+        def direct(name, x):
+            r = a @ x - b
+            res_inf = float(np.max(np.abs(r)))
+            if name == "oracle" and p == 1:
+                return 2.0 * problem.spec_norm ** 2
+            return {
+                "f": lambda: float(np.sum(ipow(r, two_p))),
+                "grad": lambda: (two_p * (a.T @ ipow(r, two_p - 1))).tobytes(),
+                "bound": lambda: bound_coef * ipow(res_inf, two_p - 1),
+                "oracle": lambda: coef * (ipow(res_inf, 2 * p - 2)
+                                          + row_pow * ipow(0.3, 2 * p - 2)),
+                "policy": lambda: res_inf,
+                "residual": lambda: r.tobytes(),
+            }[name]()
+
+        names = list(readers)
+        for _ in range(8):
+            x = rng.normal(size=problem.d)
+            for name in rng.permutation(names):
+                assert readers[name](x) == direct(name, x), name
+
+    def test_memo_keeps_no_matrix_alive(self):
+        problem, oracle, rng = self.build()
+        a_ref = weakref.ref(problem.a)
+        policy = RPolicy.residual_inf_norm(problem.a, problem.b)
+        config = SolverConfig(r_policy=policy, max_iters=3, use_grad_bound=True)
+        run_lfso_gd(oracle, problem.objective(), np.zeros(problem.d), config)
+        del problem, oracle, policy, config
+        gc.collect()
+        assert a_ref() is None
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="needs BINARY_OP and instruction positions")
+    def test_one_product_each_way_per_iterate(self):
+        # one A x for every evaluated iterate and one A^T v for every
+        # gradient, on a residual-inf run that also reads the bound
+        problem, oracle, _ = self.build(n=6, d=9)
+        config = SolverConfig(
+            r_policy=RPolicy.residual_inf_norm(problem.a, problem.b),
+            max_iters=6, use_grad_bound=True)
+        trace, counts = count_products(lambda: run_lfso_gd(
+            oracle, problem.objective(), np.zeros(problem.d), config))
+        assert trace.num_steps == 6
+        evaluated = trace.num_steps + 1
+        assert counts == {"forward": evaluated, "transpose": evaluated}

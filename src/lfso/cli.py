@@ -32,7 +32,19 @@ from . import verify as checks
 TRACE_HEADER = "k,f,grad_norm,R,R_tilde,L,step_norm,grad_ratio"
 
 PROBLEMS = ("norm2-pow", "lp-norm", "quartic", "regression-file")
-FIGURES = ("fig1a", "fig1b", "fig2a", "fig2b")
+
+# figure -> (problem, solver, eta, title); eta None takes fig1a's per-p stepsizes
+FIGURE_RUNS = {
+    "fig1a": ("norm2-pow", "fixed", None,
+              "fixed stepsize on f = |x|_2^2p (per-p stepsizes)"),
+    "fig1b": ("lp-norm", "fixed", 1e-2,
+              "fixed stepsize on f = |x|_2p^2p (eta = 1e-2)"),
+    "fig2a": ("norm2-pow", "lfso", 1.0,
+              "oracle stepsizes on f = |x|_2^2p (eta = 1)"),
+    "fig2b": ("lp-norm", "lfso", 1.0,
+              "oracle stepsizes on f = |x|_2p^2p (eta = 1)"),
+}
+FIGURES = tuple(FIGURE_RUNS)
 
 # Largest power-of-ten stepsize that keeps the fixed-step baseline stable
 # from x0 = ones(10) on f = ||x||_2^{2p}; overridable via fig1a_eta_p<p>.
@@ -86,7 +98,6 @@ class ExperimentBundle:
     lfso: Optional[Lfso]
     r_policy: RPolicy
     x0: np.ndarray
-    use_grad_bound: bool = False
     composition: Optional[CompositionProblem] = None
     regression: Optional[LpRegressionProblem] = None
 
@@ -192,7 +203,6 @@ def _policy_from_selector(selector: str, bundle_kind: str,
 def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     composition = None
     regression = None
-    use_grad_bound = False
     if cfg.problem == "norm2-pow":
         composition, lfso = make_norm_power(cfg.d, cfg.p)
         objective = composition.objective()
@@ -200,13 +210,11 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     elif cfg.problem == "lp-norm":
         regression, lfso = make_lp_regression(np.eye(cfg.d), np.zeros(cfg.d), cfg.p)
         objective = regression.objective()
-        use_grad_bound = True
         d = cfg.d
     elif cfg.problem == "regression-file":
         a, b = load_regression_data(cfg.data_path)
         regression, lfso = make_lp_regression(a, b, cfg.p)
         objective = regression.objective()
-        use_grad_bound = True
         d = regression.d
     else:
         quartic = QuarticProblem()
@@ -217,7 +225,6 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
                                    composition, regression)
     return ExperimentBundle(objective=objective, lfso=lfso, r_policy=policy,
                             x0=_load_x0(cfg.x0, d),
-                            use_grad_bound=use_grad_bound,
                             composition=composition, regression=regression)
 
 
@@ -229,7 +236,7 @@ def execute(cfg: ExperimentConfig, bundle: ExperimentBundle,
                             keep_iterates=keep_iterates)
     solver_cfg = SolverConfig(r_policy=bundle.r_policy, eta=cfg.eta,
                               max_iters=cfg.max_iters, grad_tol=cfg.grad_tol,
-                              use_grad_bound=bundle.use_grad_bound)
+                              use_grad_bound=bundle.regression is not None)
     inner = bundle.composition.g.eval if bundle.composition is not None else None
     return run_lfso_gd(bundle.lfso, bundle.objective, bundle.x0, solver_cfg,
                        inner_value=inner, keep_iterates=keep_iterates)
@@ -300,26 +307,11 @@ def cmd_run(args) -> int:
 
 def _figure_runs(figure: str, max_iters: int, etas_fig1a: dict):
     """Yield (p, config) pairs for one figure's five runs."""
+    problem, solver, eta, _ = FIGURE_RUNS[figure]
     for p in range(1, 6):
-        cfg = ExperimentConfig(p=p, d=10, max_iters=max_iters)
-        if figure == "fig2a":
-            cfg.problem, cfg.solver, cfg.eta = "norm2-pow", "lfso", 1.0
-        elif figure == "fig2b":
-            cfg.problem, cfg.solver, cfg.eta = "lp-norm", "lfso", 1.0
-        elif figure == "fig1b":
-            cfg.problem, cfg.solver, cfg.eta = "lp-norm", "fixed", 1e-2
-        else:
-            cfg.problem, cfg.solver = "norm2-pow", "fixed"
-            cfg.eta = etas_fig1a[p]
-        yield p, cfg
-
-
-FIGURE_TITLES = {
-    "fig1a": "fixed stepsize on f = |x|_2^2p (per-p stepsizes)",
-    "fig1b": "fixed stepsize on f = |x|_2p^2p (eta = 1e-2)",
-    "fig2a": "oracle stepsizes on f = |x|_2^2p (eta = 1)",
-    "fig2b": "oracle stepsizes on f = |x|_2p^2p (eta = 1)",
-}
+        yield p, ExperimentConfig(
+            problem=problem, solver=solver, p=p, d=10, max_iters=max_iters,
+            eta=etas_fig1a[p] if eta is None else eta)
 
 
 def reproduce_figure(figure: str, out_dir: str, max_iters: int = 10_000,
@@ -344,7 +336,7 @@ def reproduce_figure(figure: str, out_dir: str, max_iters: int = 10_000,
         curves.append((f"p={p}", list(range(len(ratios))), ratios))
         print(summarize_trace(trace, f"{figure} p={p} eta={cfg.eta:g}"))
     svg_path = os.path.join(out_dir, f"{figure}.svg")
-    _svg.write_log_plot(svg_path, curves, FIGURE_TITLES[figure],
+    _svg.write_log_plot(svg_path, curves, FIGURE_RUNS[figure][3],
                         "iteration k", "grad norm ratio")
     written.append(svg_path)
     return written
@@ -379,8 +371,7 @@ def shipped_pairs():
     return pairs
 
 
-def verify_all(seed: int, include_controls: bool = False,
-               samples: int = 1000, run_iters: int = 500):
+def verify_all(seed: int, include_controls: bool = False):
     """Run every check on every shipped pair plus short solver runs.
 
     Returns (report_text, total_violations).  With ``include_controls``
@@ -389,49 +380,34 @@ def verify_all(seed: int, include_controls: bool = False,
     """
     reports = []
 
-    spec = checks.SampleSpec(num_points=samples, seed=seed)
-    for name, objective, lfso, dim in shipped_pairs():
+    pairs = shipped_pairs()
+    spec = checks.SampleSpec(num_points=1000, seed=seed)
+    for name, objective, lfso, dim in pairs:
         reports.append(checks.check_lfso_validity(
             objective, lfso, spec, name=f"lfso-validity {name}"))
         reports.append(checks.check_monotone_in_R(
             lfso, checks.SampleSpec(num_points=32, seed=seed), dim,
             name=f"monotone-in-R {name}"))
 
-    for p in range(1, 6):
-        problem, lfso = make_norm_power(10, p)
-        objective = problem.objective()
-        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
-                              max_iters=run_iters)
-        trace = run_lfso_gd(lfso, objective, np.ones(10), config,
-                            inner_value=problem.g.eval)
-        reports.append(checks.check_trace(trace, config.eta,
-                                          name=f"trace norm2-pow p={p}"))
-        reports.append(checks.check_composition_run(
-            problem, trace, config.eta, name=f"composition norm2-pow p={p}"))
-
-    for p in range(1, 6):
-        problem, lfso = make_lp_regression(np.eye(10), np.zeros(10), p)
-        objective = problem.objective()
-        config = SolverConfig(
-            r_policy=RPolicy.residual_inf_norm(problem.a, problem.b),
-            max_iters=run_iters, use_grad_bound=True)
-        trace = run_lfso_gd(lfso, objective, np.ones(10), config,
-                            keep_iterates=True)
-        reports.append(checks.check_trace(trace, config.eta,
-                                          name=f"trace lp-norm p={p}"))
-        try:
-            reports.append(checks.check_regression_qlinear(
-                problem, trace, name=f"qlinear lp-norm p={p}"))
-        except AssumptionUnmetError as exc:
-            reports.append(checks.CheckReport(
-                name=f"qlinear lp-norm p={p}", violations=0,
-                stats={"skipped": str(exc)}))
-
-    quartic = QuarticProblem()
-    config = SolverConfig(r_policy=RPolicy.constant(0.1), max_iters=200)
-    trace = run_lfso_gd(quartic.lfso(), quartic.objective(),
-                        np.array([1.0]), config)
-    reports.append(checks.check_trace(trace, config.eta, name="trace quartic"))
+    runs = [ExperimentConfig(problem=problem, p=p, max_iters=500)
+            for problem in ("norm2-pow", "lp-norm") for p in range(1, 6)]
+    runs.append(ExperimentConfig(problem="quartic", max_iters=200))
+    for cfg in runs:
+        bundle = build_experiment(cfg)
+        trace = execute(cfg, bundle, keep_iterates=bundle.regression is not None)
+        label = cfg.problem + ("" if cfg.problem == "quartic" else f" p={cfg.p}")
+        reports.append(checks.check_trace(trace, cfg.eta, name=f"trace {label}"))
+        if bundle.composition is not None:
+            reports.append(checks.check_composition_run(
+                bundle.composition, trace, cfg.eta, name=f"composition {label}"))
+        if bundle.regression is not None:
+            try:
+                reports.append(checks.check_regression_qlinear(
+                    bundle.regression, trace, name=f"qlinear {label}"))
+            except AssumptionUnmetError as exc:
+                reports.append(checks.CheckReport(
+                    name=f"qlinear {label}", violations=0,
+                    stats={"skipped": str(exc)}))
 
     reports.append(checks.check_quartic_threshold())
     reports.append(checks.check_holder(
@@ -439,7 +415,7 @@ def verify_all(seed: int, include_controls: bool = False,
         t_values=[1.0, 1.5, 2.0, 3.0, 4.0]))
 
     if include_controls:
-        quad_objective = shipped_pairs()[1][1]
+        quad_objective = pairs[1][1]
         wrong = constant_lfso(ConstantLfsoParams(l_f=1.0))
         reports.append(checks.check_lfso_validity(
             quad_objective, wrong, spec, name="CONTROL wrong-oracle"))

@@ -23,11 +23,7 @@ from .oracles import composition_lfso, ipow, lp_regression_lfso
 @dataclass(frozen=True)
 class CompositionProblem:
     """f = h(g(x)) with g smooth (constant l_g) and gradient-dominated
-    (constant mu_g), h increasing and convex with non-decreasing h''.
-
-    ``p_tail`` records the small-t growth exponent of h' (h'(t) ~ t^p_tail);
-    it is descriptive metadata, 0 for a linear outer function.
-    """
+    (constant mu_g), h increasing and convex with non-decreasing h''."""
 
     g: GradientOracle
     l_g: float
@@ -35,15 +31,12 @@ class CompositionProblem:
     h: Callable[[float], float]
     h_prime: Callable[[float], float]
     h_double_prime: Callable[[float], float]
-    p_tail: int
 
     def __post_init__(self) -> None:
         if not (self.l_g > 0 and self.mu_g > 0):
             raise ValueError("l_g and mu_g must be positive")
         if self.mu_g > self.l_g:
             raise ValueError(f"mu_g ({self.mu_g}) cannot exceed l_g ({self.l_g})")
-        if self.p_tail < 0:
-            raise ValueError(f"p_tail must be >= 0, got {self.p_tail}")
 
     def objective(self) -> GradientOracle:
         """The composed objective with grad f = h'(g(x)) grad g(x)."""
@@ -144,7 +137,6 @@ def make_norm_power(d: int, p: int):
         h=lambda t: ipow(float(t), p),
         h_prime=lambda t: p * ipow(float(t), p - 1),
         h_double_prime=h_double_prime,
-        p_tail=p - 1,
     )
     return problem, composition_lfso(problem)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -327,34 +327,34 @@ def fit_linear_rate(values: Sequence[float],
     """Fit ln(value_k) against k over the tail window (the last
     ``window_fraction`` of the sequence, cut at the first underflowed
     value).  Needs at least 3 points."""
-    window, start, n = _window(values, window_fraction)
-    if len(window) < 3:
-        raise InsufficientDataError(
-            f"rate fit needs >= 3 positive values, got {len(window)}")
-    ks = np.arange(start, n, dtype=np.float64)
-    return _fit_line(ks, np.log(window), (start, n - 1))
+    return _fit_tail(values, window_fraction, lambda ks: ks)
 
 
 def fit_powerlaw_rate(values: Sequence[float],
                       window_fraction: float = 0.5) -> RateFit:
     """Fit ln(value_k) against ln(k + 1) over the same tail window; a high
     r_squared here with a poor log-linear fit signals a sublinear decay."""
+    return _fit_tail(values, window_fraction, lambda ks: np.log(ks + 1.0))
+
+
+def _fit_tail(values: Sequence[float], window_fraction: float,
+              abscissa: Callable[[np.ndarray], np.ndarray]) -> RateFit:
+    """Least-squares line through (abscissa(k), ln value_k) over the tail
+    window of ``values``."""
     window, start, n = _window(values, window_fraction)
     if len(window) < 3:
         raise InsufficientDataError(
             f"rate fit needs >= 3 positive values, got {len(window)}")
-    ks = np.log(np.arange(start, n, dtype=np.float64) + 1.0)
-    return _fit_line(ks, np.log(window), (start, n - 1))
-
-
-def _fit_line(xs: np.ndarray, ys: np.ndarray, window: tuple) -> RateFit:
+    xs = abscissa(np.arange(start, n, dtype=np.float64))
+    ys = np.log(window)
     design = np.vstack([xs, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     pred = design @ coef
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(coef[0]), r_squared=r_squared, window=window)
+    return RateFit(slope=float(coef[0]), r_squared=r_squared,
+                   window=(start, n - 1))
 
 
 def classify_rate(values: Sequence[float],

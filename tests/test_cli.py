@@ -323,3 +323,25 @@ class TestVerifyCommand:
             run_cli(["verify"])
         assert exc.value.code == 2
         assert "LFSO_SEED" in capsys.readouterr().err
+
+    def test_controls_suite_builds_and_runs_through_cli_names(self, monkeypatch,
+                                                              capsys):
+        # The benchmark times builds and solver runs by wrapping these cli
+        # names, so every build and run of the suite must go through them.
+        calls = {"build": 0, "run": 0}
+
+        def counted(kind, fn):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, kind in (("make_norm_power", "build"),
+                           ("make_lp_regression", "build"),
+                           ("run_lfso_gd", "run"), ("run_fixed_gd", "run")):
+            monkeypatch.setattr(cli, name, counted(kind, getattr(cli, name)))
+        assert run_cli(["verify", "--seed", "3", "--include-controls"]) == 1
+        capsys.readouterr()
+        # 11 shipped pairs plus 10 solver runs on built problems; the
+        # quartic run builds nothing through these names
+        assert calls == {"build": 21, "run": 11}

@@ -109,8 +109,7 @@ class TestCompositionLfso:
         problem, _ = make_norm_power(2, 2)
         broken = composition_lfso(type(problem)(
             g=problem.g, l_g=2.0, mu_g=2.0, h=problem.h,
-            h_prime=problem.h_prime, h_double_prime=lambda t: -1.0,
-            p_tail=1))
+            h_prime=problem.h_prime, h_double_prime=lambda t: -1.0))
         with pytest.raises(NegativeCurvatureError):
             broken.eval(np.ones(2), 1.0)
 

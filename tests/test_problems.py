@@ -49,7 +49,6 @@ class TestNormPower:
         problem, _ = make_norm_power(3, 4)
         assert problem.l_g == 2.0
         assert problem.mu_g == 2.0
-        assert problem.p_tail == 3
 
     def test_sandwich_saturates_for_norm_squared(self):
         # ||grad g||^2 = 4 ||x||^2 = 2 * 2 * g exactly, both sides tight

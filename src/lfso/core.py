@@ -17,6 +17,7 @@ runs.
 from __future__ import annotations
 
 import enum
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -40,19 +41,70 @@ def as_vector(values) -> Vector:
 
 
 def euclidean_norm(v: Vector) -> float:
-    """2-norm with rescaling outside [1e-140, 1e140], where squaring the
-    entries would under- or overflow and report a spurious 0 or inf."""
+    """2-norm of a 1-D float vector, with rescaling outside [1e-140, 1e140],
+    where squaring the entries would under- or overflow and report a
+    spurious 0 or inf.
+
+    Inside that range it is ``sqrt(v . v)``, the expression NumPy's
+    ``linalg.norm`` evaluates for a 1-D vector, so the bits are the same.
+    The scan for the largest entry guards the dot product, which would
+    raise an overflow warning on huge entries.
+    """
     m = float(np.abs(v).max(initial=0.0))
     if m == 0.0 or 1e-140 < m < 1e140:
-        return float(np.linalg.norm(v))
-    if not np.isfinite(m):
+        return math.sqrt(v.dot(v))
+    if not math.isfinite(m):
         return m
     return m * float(np.linalg.norm(v / m))
 
 
-# (weakref A, weakref b, key of x, A x - b), read and replaced as one tuple so
-# concurrent callers never see a torn entry.
-_last_residual = None
+class _IterateMemo:
+    """Values derived from one iterate ``x`` and a few fixed operands,
+    remembered for the last ``(operands, x)`` asked about.
+
+    A hit needs the same operand objects and an ``x`` of the same shape,
+    dtype and bytes, so an ``x`` changed in place is recomputed.  The
+    operands are held by weak reference, so the memo keeps none of them
+    alive; operands that take no weak reference are never remembered.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self):
+        # (weakrefs of the operands, key of x, values), read and replaced as
+        # one tuple so concurrent callers never see a torn entry
+        self._entry = None
+
+    def values(self, operands: tuple, x: Vector) -> dict:
+        """The dict of values remembered for ``(operands, x)``: the last
+        entry's on a hit, else a new empty one that replaces it."""
+        key = (x.shape, x.dtype, x.tobytes())
+        entry = self._entry
+        if entry is not None and entry[1] == key:
+            for ref, operand in zip(entry[0], operands):
+                if ref() is not operand:
+                    break
+            else:
+                return entry[2]
+        values = {}
+        try:
+            self._entry = (tuple(map(weakref.ref, operands)), key, values)
+        except TypeError:
+            self._entry = None
+        return values
+
+
+_residuals = _IterateMemo()
+_inner_grad_norms = _IterateMemo()
+
+
+def _residual_values(a: np.ndarray, b: Vector, x: Vector) -> dict:
+    values = _residuals.values((a, b), x)
+    if "r" not in values:
+        r = a @ x - b
+        r.setflags(write=False)
+        values["r"] = r
+    return values
 
 
 def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
@@ -67,16 +119,30 @@ def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
     not change in place while in use.  They are held by weak reference, so
     the memo keeps no matrix alive.
     """
-    global _last_residual
+    return _residual_values(a, b, np.asarray(x))["r"]
+
+
+def residual_inf(a: np.ndarray, b: Vector, x: Vector) -> float:
+    """``||A x - b||_inf``, remembered with :func:`residual` in the same
+    memo entry, so the gradient-norm bound, the oracle and the radius
+    policy of one iterate scan the residual once."""
+    values = _residual_values(a, b, np.asarray(x))
+    if "inf" not in values:
+        values["inf"] = float(np.abs(values["r"]).max())
+    return values["inf"]
+
+
+def inner_grad_norm(grad_g: Callable[[Vector], Vector], x: Vector) -> float:
+    """``||grad_g(x)||_2``, remembered for the last ``(grad_g, x)`` by the
+    same kind of memo as :func:`residual`, so the grad-g-norm radius policy
+    and both oracle calls of a composition iteration form it once.
+    ``grad_g`` must be a pure function of ``x``; it is held by weak
+    reference."""
     x = np.asarray(x)
-    key = (x.shape, x.dtype, x.tobytes())
-    last = _last_residual
-    if last is not None and last[0]() is a and last[1]() is b and last[2] == key:
-        return last[3]
-    r = a @ x - b
-    r.setflags(write=False)
-    _last_residual = (weakref.ref(a), weakref.ref(b), key, r)
-    return r
+    values = _inner_grad_norms.values((grad_g,), x)
+    if "norm" not in values:
+        values["norm"] = euclidean_norm(grad_g(x))
+    return values["norm"]
 
 
 @dataclass(frozen=True)
@@ -117,15 +183,14 @@ class RPolicy:
     @staticmethod
     def grad_g_norm(grad_g: Callable[[Vector], Vector]) -> "RPolicy":
         """R_k = ||grad g(x_k)||_2 for an inner function g."""
-        return RPolicy("grad-g-norm", lambda x: euclidean_norm(grad_g(x)))
+        return RPolicy("grad-g-norm", lambda x: inner_grad_norm(grad_g, x))
 
     @staticmethod
     def residual_inf_norm(a: np.ndarray, b: Vector) -> "RPolicy":
-        """R_k = ||A x_k - b||_inf, read from :func:`residual`."""
+        """R_k = ||A x_k - b||_inf, read from :func:`residual_inf`."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        return RPolicy("residual-inf",
-                       lambda x: float(np.max(np.abs(residual(a, b, x)))))
+        return RPolicy("residual-inf", lambda x: residual_inf(a, b, x))
 
     @staticmethod
     def callback(fn: Callable[[Vector], float]) -> "RPolicy":
@@ -215,7 +280,7 @@ class RunTrace:
 
 def _checked(value: float, what: str) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteValueError(f"{what} is not finite: {value}")
     return value
 
@@ -242,6 +307,7 @@ class _OracleStep:
         self.oracle = oracle
         self.config = config
         self.bound = problem.grad_norm_bound if config.use_grad_bound else None
+        self.record_d = config.r_policy.kind == "grad-g-norm"
 
     def __call__(self, x: Vector, g: Vector, grad_norm: float):
         config, oracle = self.config, self.oracle
@@ -249,7 +315,7 @@ class _OracleStep:
         big_g = grad_norm
         if self.bound is not None:
             big_g = _checked(self.bound(x), "gradient-norm bound")
-        if not (r_k > 0 and np.isfinite(r_k)):
+        if not (r_k > 0 and math.isfinite(r_k)):
             raise ValueError(f"r_k must be positive and finite, got {r_k}")
         l_at_r = _checked(oracle.eval(x, r_k), "oracle value L(x, R_k)")
         if l_at_r < 0:
@@ -264,11 +330,9 @@ class _OracleStep:
             raise ZeroOracleError(
                 "L(x, R~_k) = 0 at a point with nonzero gradient")
         step = (config.eta / l_k) * g
-        fields = dict(r_k=float(r_k), r_tilde_k=r_tilde, l_k=l_k,
-                      step_norm=_checked(euclidean_norm(step), "step norm"))
-        if config.r_policy.kind == "grad-g-norm":
-            fields["d_k"] = r_tilde / float(r_k)
-        return step, fields
+        step_norm = _checked(euclidean_norm(step), "step norm")
+        d_k = r_tilde / float(r_k) if self.record_d else None
+        return step, (float(r_k), r_tilde, l_k, step_norm, d_k)
 
     def stationary(self, x: Vector) -> Termination:
         """At an exact stationary point, report whether the oracle has also
@@ -291,11 +355,11 @@ class _FixedStep:
 
     def __init__(self, eta: float):
         self.eta = eta
+        self.l_k = 1.0 / eta
 
     def __call__(self, x: Vector, g: Vector, grad_norm: float):
         eta = self.eta
-        return eta * g, dict(r_k=0.0, r_tilde_k=0.0, l_k=1.0 / eta,
-                             step_norm=eta * grad_norm)
+        return eta * g, (0.0, 0.0, self.l_k, eta * grad_norm)
 
     def stationary(self, x: Vector) -> Termination:
         return Termination.STATIONARY_EXACT
@@ -308,7 +372,8 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
              grad_tol: float, keep_iterates: bool,
              inner_value: Optional[Callable[[Vector], float]] = None) -> RunTrace:
     """The iteration both solvers share.  Each iterate is evaluated once;
-    ``rule(x, g, grad_norm)`` returns the step and the record's step fields.
+    ``rule(x, g, grad_norm)`` returns the step and the record's step fields
+    in :class:`IterationRecord` order, from ``r_k`` on.
     The evaluation of the last iterate gives the final values.  Once
     ``max_iters`` steps are taken the run stops on the budget, whatever the
     gradient at the last iterate."""
@@ -334,13 +399,13 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
                 break
             step, fields = rule(x, g, grad_norm)
             next_x = x - step
-            if not np.all(np.isfinite(next_x)):
+            if not np.isfinite(next_x).all():
                 raise NonFiniteValueError("next iterate is not finite")
         except NonFiniteValueError as exc:
             if rule.diverged is None:
                 raise
             raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
-        record = IterationRecord(k=k, f_val=f_val, grad_norm=grad_norm, **fields)
+        record = IterationRecord(k, f_val, grad_norm, *fields)
         if inner_value is not None:
             record.g_val = float(inner_value(x))
         records.append(record)

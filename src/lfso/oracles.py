@@ -7,12 +7,13 @@ non-decreasing in ``R``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Lfso, Vector, euclidean_norm, residual
+from .core import Lfso, Vector, inner_grad_norm, residual_inf
 from .errors import (GridEmptyError, NegativeCurvatureError,
                      NonFiniteValueError)
 
@@ -23,12 +24,21 @@ if TYPE_CHECKING:
 def ipow(base, exponent: int):
     """Integer power by repeated multiplication (scalar or elementwise).
 
-    Keeps small-integer powers exact instead of routing through pow().
+    Keeps small-integer powers exact instead of routing through pow().  The
+    products run ``base * base * ...`` left to right, with a scalar first
+    made ``1.0 * base`` (so an int gives a float); an array result is
+    always a new array, never ``base``.
     """
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    result = np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-    for _ in range(exponent):
+    if exponent < 1:
+        if exponent < 0:
+            raise ValueError(f"exponent must be >= 0, got {exponent}")
+        return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+    if not isinstance(base, np.ndarray):
+        base = 1.0 * base
+    elif exponent == 1:
+        return base.copy()
+    result = base
+    for _ in range(exponent - 1):
         result = result * base
     return result
 
@@ -85,14 +95,14 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
 
     Monotone in R because h' and h'' are non-decreasing and h'' >= 0.
     """
-    g = problem.g
+    grad_g = problem.g.grad
     l_g = float(problem.l_g)
     mu_g = float(problem.mu_g)
     h_prime = problem.h_prime
     h_double_prime = problem.h_double_prime
 
     def evaluate(x: Vector, r: float) -> float:
-        w = l_g * float(r) + euclidean_norm(g.grad(x))
+        w = l_g * float(r) + inner_grad_norm(grad_g, x)
         v = w * w
         u = v / (2.0 * mu_g)
         hpp = float(h_double_prime(u))
@@ -101,7 +111,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
                 f"h'' evaluated negative ({hpp}) at t={u}; "
                 "the outer function must be convex")
         value = hpp * v + float(h_prime(u)) * l_g
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteValueError(f"composition oracle value is {value}")
         return value
 
@@ -130,9 +140,9 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
     row_pow = ipow(float(problem.max_row_norm), 2 * p - 2)
 
     def evaluate(x: Vector, r: float) -> float:
-        res_inf = float(np.max(np.abs(residual(a, b, x))))
+        res_inf = residual_inf(a, b, x)
         value = coef * (ipow(res_inf, 2 * p - 2) + row_pow * ipow(float(r), 2 * p - 2))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteValueError(f"regression oracle value is {value}")
         return value
 

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GradientOracle, Lfso, Vector, as_vector, residual
+from .core import (GradientOracle, Lfso, Vector, as_vector, residual,
+                   residual_inf)
 from .errors import AssumptionWarning, ShapeMismatchError, ZeroResidualError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
 
@@ -89,13 +90,13 @@ class LpRegressionProblem:
         bound_coef = two_p * float(self.spec_norm) * float(np.sqrt(self.n))
 
         def value(x: Vector) -> float:
-            return float(np.sum(ipow(residual(a, b, x), two_p)))
+            return float(ipow(residual(a, b, x), two_p).sum())
 
         def gradient(x: Vector) -> Vector:
             return two_p * (a.T @ ipow(residual(a, b, x), two_p - 1))
 
         def grad_norm_bound(x: Vector) -> float:
-            res_inf = float(np.max(np.abs(residual(a, b, x))))
+            res_inf = residual_inf(a, b, x)
             return bound_coef * ipow(res_inf, two_p - 1)
 
         return GradientOracle(dim=self.d, eval=value, grad=gradient,

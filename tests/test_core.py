@@ -368,3 +368,55 @@ class TestEuclideanNorm:
 
     def test_zero_vector(self):
         assert euclidean_norm(np.zeros(5)) == 0.0
+
+
+def reference_norm(v):
+    """The norm without the ``sqrt(v . v)`` path: scan, then linalg.norm."""
+    m = float(np.max(np.abs(v), initial=0.0))
+    if m == 0.0 or 1e-140 < m < 1e140:
+        return float(np.linalg.norm(v))
+    if not np.isfinite(m):
+        return m
+    return m * float(np.linalg.norm(v / m))
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestEuclideanNormFastPath:
+    """``sqrt(v . v)`` in the normal range gives the bits of the reference."""
+
+    EDGE = 1e-140
+    SCALES = [np.nextafter(EDGE, 0.0), EDGE, np.nextafter(EDGE, 1.0), 1.0,
+              np.nextafter(1e140, 0.0), 1e140, np.nextafter(1e140, np.inf),
+              1e-300, 1e300, 5e-324]
+
+    @pytest.mark.parametrize("d", [1, 10, 1000, 80000])
+    def test_random_vectors_at_every_scale(self, d):
+        rng = np.random.default_rng(d)
+        for scale in self.SCALES:
+            for _ in range(3):
+                u = rng.normal(size=d)
+                v = u / np.abs(u).max() * scale  # largest entry is +-scale
+                assert same_bits(euclidean_norm(v), reference_norm(v)), (d, scale)
+
+    @pytest.mark.parametrize("d", [1, 10, 1000, 80000])
+    def test_zero_subnormal_and_inf_entries(self, d):
+        rng = np.random.default_rng(d + 1)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        cases = [np.zeros(d), np.full(d, -0.0), np.full(d, tiny),
+                 rng.integers(1, 4, size=d) * tiny]
+        for special in (np.inf, -np.inf, np.nan, 0.0, tiny):
+            v = rng.normal(size=d)
+            v[rng.integers(d)] = special
+            cases.append(v)
+        for v in cases:
+            assert same_bits(euclidean_norm(v), reference_norm(v)), v[:3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=1, max_size=12))
+    def test_any_finite_or_special_entries(self, entries):
+        v = np.array(entries, dtype=np.float64)
+        assert same_bits(euclidean_norm(v), reference_norm(v))

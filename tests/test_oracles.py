@@ -28,6 +28,52 @@ class TestIpow:
             ipow(2.0, -1)
 
 
+def reference_ipow(base, exponent):
+    """ipow with its products starting from a one."""
+    result = np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+    for _ in range(exponent):
+        result = result * base
+    return result
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5, 0.3, 1e155, -1e-160]
+
+
+class TestIpowFastPath:
+    """Starting the products from ``base`` changes no bit and no type."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("exponent", range(10))
+    def test_scalars(self, exponent):
+        with np.errstate(all="ignore"):
+            for base in SPECIAL + [np.float64(-2.5), np.float64(np.nan), 3, -2]:
+                self.assert_same(ipow(base, exponent), reference_ipow(base, exponent))
+
+    @pytest.mark.parametrize("exponent", range(10))
+    def test_arrays(self, exponent):
+        rng = np.random.default_rng(exponent)
+        arrays = [np.array(SPECIAL), rng.normal(size=1000),
+                  rng.integers(-3, 4, size=20),
+                  rng.normal(size=7).astype(np.float32)]
+        with np.errstate(all="ignore"):
+            for base in arrays:
+                self.assert_same(ipow(base, exponent), reference_ipow(base, exponent))
+
+    @pytest.mark.parametrize("exponent", range(10))
+    def test_result_is_never_the_callers_array(self, exponent):
+        base = np.array([1.5, -2.0, 0.0])
+        before = base.copy()
+        result = ipow(base, exponent)
+        assert not np.shares_memory(result, base)
+        result[...] = 7.0
+        assert np.array_equal(base, before)
+
+
 class TestConstantLfso:
     def test_constant_everywhere(self):
         oracle = constant_lfso(ConstantLfsoParams(l_f=2.0))

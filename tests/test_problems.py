@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import lfso
-from lfso.core import (RPolicy, SolverConfig, euclidean_norm, residual,
-                       run_lfso_gd)
+from lfso.core import (GradientOracle, RPolicy, SolverConfig, euclidean_norm,
+                       inner_grad_norm, residual, residual_inf, run_lfso_gd)
 from lfso.errors import (AssumptionWarning, ShapeMismatchError,
                          ZeroResidualError)
 from lfso.oracles import ipow
-from lfso.problems import (QuarticProblem, condition_number,
+from lfso.problems import (CompositionProblem, QuarticProblem, condition_number,
                            load_regression_data, make_lp_regression,
                            make_norm_power, regression_constants,
                            residual_iterate, spectral_norm)
@@ -406,6 +406,24 @@ class TestSharedResidual:
         assert np.array_equal(residual(a, b, x), a @ x - b)
         assert np.array_equal(residual(a, other_b, x), a @ x - other_b)
 
+    def test_inf_norm_of_x_changed_in_place_is_recomputed(self):
+        problem, _, rng = self.build()
+        a, b = problem.a, problem.b
+        x = rng.normal(size=a.shape[1])
+        first = residual_inf(a, b, x)
+        x *= 3.0
+        second = residual_inf(a, b, x)
+        assert second == float(np.max(np.abs(a @ x - b)))
+        assert second != first
+
+    def test_inf_norm_is_not_shared_across_a_or_b(self):
+        problem, _, rng = self.build()
+        a, b = problem.a, problem.b
+        other_a, other_b = a * 2.0, b + 10.0
+        x = rng.normal(size=a.shape[1])
+        for m, v in [(a, b), (other_a, b), (a, other_b), (a, b)]:
+            assert residual_inf(m, v, x) == float(np.max(np.abs(m @ x - v)))
+
     def test_returned_array_is_read_only(self):
         problem, _, rng = self.build()
         r = problem.residual(rng.normal(size=problem.d))
@@ -452,6 +470,16 @@ class TestSharedResidual:
             for name in rng.permutation(names):
                 assert readers[name](x) == direct(name, x), name
 
+    def test_inf_norm_matches_the_direct_formula(self):
+        problem, _, rng = self.build(n=40, d=60)
+        a, b = problem.a, problem.b
+        for scale in (1e-150, 1e-3, 1.0, 1e100):
+            x = rng.normal(size=a.shape[1]) * scale
+            direct = float(np.max(np.abs(a @ x - b)))
+            residual(a, b, x)  # the residual first, then its inf-norm
+            assert residual_inf(a, b, x) == direct
+            assert residual_inf(a, b, x.copy()) == direct
+
     def test_memo_keeps_no_matrix_alive(self):
         problem, oracle, rng = self.build()
         a_ref = weakref.ref(problem.a)
@@ -476,3 +504,95 @@ class TestSharedResidual:
         assert trace.num_steps == 6
         evaluated = trace.num_steps + 1
         assert counts == {"forward": evaluated, "transpose": evaluated}
+
+
+class TestSharedInnerGradNorm:
+    """One ||grad g(x)|| per iterate, shared by the grad-g-norm radius and
+    both composition-oracle calls."""
+
+    @staticmethod
+    def build(p=3, d=6, calls=None):
+        """||x||_2^{2p} with an inner gradient that counts its calls."""
+        def grad_g(x):
+            if calls is not None:
+                calls.append(1)
+            return 2.0 * x
+        g = GradientOracle(dim=d, eval=lambda x: float(x.dot(x)), grad=grad_g)
+        problem = CompositionProblem(
+            g=g, l_g=2.0, mu_g=2.0, h=lambda t: ipow(t, p),
+            h_prime=lambda t: p * ipow(t, p - 1),
+            h_double_prime=lambda t: p * (p - 1) * ipow(t, p - 2))
+        return problem, lfso.composition_lfso(problem)
+
+    def test_x_changed_in_place_is_recomputed(self):
+        problem, _ = self.build()
+        grad_g = problem.g.grad
+        x = np.arange(1.0, 7.0)
+        first = inner_grad_norm(grad_g, x)
+        x[2] = -40.0
+        second = inner_grad_norm(grad_g, x)
+        assert second == euclidean_norm(2.0 * x)
+        assert second != first
+
+    def test_not_shared_across_inner_gradients(self):
+        problem, _ = self.build()
+        grad_g = problem.g.grad
+
+        def other_grad(x):
+            return 3.0 * x
+
+        x = np.arange(1.0, 7.0)
+        for grad, factor in [(grad_g, 2.0), (other_grad, 3.0), (grad_g, 2.0)]:
+            assert inner_grad_norm(grad, x) == euclidean_norm(factor * x)
+
+    def test_gradient_without_weak_references_is_not_remembered(self):
+        # g(x) = ||x||^2 / 2 has grad g = np.positive, a ufunc, which takes
+        # no weak reference: each call computes the norm afresh
+        x = np.arange(1.0, 7.0)
+        assert inner_grad_norm(np.positive, x) == euclidean_norm(x)
+        x[0] = 50.0
+        assert inner_grad_norm(np.positive, x) == euclidean_norm(x)
+        assert RPolicy.grad_g_norm(np.positive)(x) == euclidean_norm(x)
+
+    def test_every_reader_matches_the_direct_formula(self):
+        p = 3
+        problem, oracle = self.build(p=p)
+        policy = RPolicy.grad_g_norm(problem.g.grad)
+
+        def direct_oracle(x, r):
+            w = 2.0 * r + euclidean_norm(2.0 * x)
+            v = w * w
+            u = v / 4.0
+            return p * (p - 1) * ipow(u, p - 2) * v + p * ipow(u, p - 1) * 2.0
+
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            x = rng.normal(size=6) * rng.choice([1e-160, 1e-3, 1.0, 1e3])
+            for name in rng.permutation(["policy", "oracle", "norm"]):
+                if name == "policy":
+                    assert policy(x) == euclidean_norm(2.0 * x)
+                elif name == "oracle":
+                    assert oracle.eval(x, 0.7) == direct_oracle(x, 0.7)
+                else:
+                    assert inner_grad_norm(problem.g.grad, x) == euclidean_norm(2.0 * x)
+
+    def test_formed_once_per_iterate(self):
+        # the objective's gradient makes one call per iterate and the norm
+        # one more, however many readers there are
+        calls = []
+        problem, oracle = self.build(calls=calls)
+        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                              max_iters=5)
+        trace = run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
+        assert trace.num_steps == 5
+        assert len(calls) == 2 * trace.num_steps + 1
+
+    def test_memo_keeps_no_gradient_alive(self):
+        problem, oracle = self.build()
+        grad_ref = weakref.ref(problem.g.grad)
+        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                              max_iters=3)
+        run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
+        del problem, oracle, config
+        gc.collect()
+        assert grad_ref() is None

@@ -65,7 +65,6 @@ class ExperimentConfig:
     grad_tol: float = 0.0
     r_policy: str = "default"
     x0: str = "ones"
-    seed: int = 0
     out_path: str = "trace.csv"
     solver: str = "lfso"
     data_path: Optional[str] = None
@@ -83,7 +82,7 @@ class ExperimentConfig:
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:
             raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
         if self.problem == "regression-file" and not self.data_path:
             raise ConfigError("regression-file needs data_path (--data)")
@@ -237,9 +236,8 @@ def execute(cfg: ExperimentConfig, bundle: ExperimentBundle,
     solver_cfg = SolverConfig(r_policy=bundle.r_policy, eta=cfg.eta,
                               max_iters=cfg.max_iters, grad_tol=cfg.grad_tol,
                               use_grad_bound=bundle.regression is not None)
-    inner = bundle.composition.g.eval if bundle.composition is not None else None
     return run_lfso_gd(bundle.lfso, bundle.objective, bundle.x0, solver_cfg,
-                       inner_value=inner, keep_iterates=keep_iterates)
+                       keep_iterates=keep_iterates)
 
 
 def write_trace_csv(path: str, trace: RunTrace) -> None:
@@ -394,7 +392,7 @@ def verify_all(seed: int, include_controls: bool = False):
     runs.append(ExperimentConfig(problem="quartic", max_iters=200))
     for cfg in runs:
         bundle = build_experiment(cfg)
-        trace = execute(cfg, bundle, keep_iterates=bundle.regression is not None)
+        trace = execute(cfg, bundle, keep_iterates=True)
         label = cfg.problem + ("" if cfg.problem == "quartic" else f" p={cfg.p}")
         reports.append(checks.check_trace(trace, cfg.eta, name=f"trace {label}"))
         if bundle.composition is not None:
@@ -465,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--r-policy", dest="r_policy", default=None,
                      help="default | constant:<c> | grad-g-norm | residual-inf")
     run.add_argument("--x0", default=None, help="'ones' or a file of floats")
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", dest="out_path", default=None)
     run.add_argument("--solver", choices=("lfso", "fixed"), default=None)
     run.add_argument("--data", dest="data_path", default=None,

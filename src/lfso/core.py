@@ -166,7 +166,10 @@ class Lfso:
 
 @dataclass(frozen=True)
 class RPolicy:
-    """Rule producing the trial radius ``R_k`` from the current iterate."""
+    """Rule producing the trial radius ``R_k`` from the current iterate.
+
+    ``kind`` names the rule for readers of a policy; nothing in the package
+    branches on it."""
 
     kind: str
     fn: Callable[[Vector], float]
@@ -231,8 +234,8 @@ class IterationRecord:
 
     Fixed-stepsize baseline rows use the sentinel ``r_k = r_tilde_k = 0``
     and the convention ``l_k = 1/eta`` so both solvers share one schema.
-    ``d_k`` is ``R~_k / ||grad g(x_k)||`` on composition runs; ``g_val`` is
-    the inner-function value when the caller asks for it.
+    The row holds only what the step computes; quantities of a particular
+    problem class are derived from the stored iterates by the checks.
     """
 
     k: int
@@ -242,8 +245,6 @@ class IterationRecord:
     r_tilde_k: float
     l_k: float
     step_norm: float
-    d_k: Optional[float] = None
-    g_val: Optional[float] = None
 
 
 @dataclass
@@ -307,7 +308,6 @@ class _OracleStep:
         self.oracle = oracle
         self.config = config
         self.bound = problem.grad_norm_bound if config.use_grad_bound else None
-        self.record_d = config.r_policy.kind == "grad-g-norm"
 
     def __call__(self, x: Vector, g: Vector, grad_norm: float):
         config, oracle = self.config, self.oracle
@@ -331,8 +331,7 @@ class _OracleStep:
                 "L(x, R~_k) = 0 at a point with nonzero gradient")
         step = (config.eta / l_k) * g
         step_norm = _checked(euclidean_norm(step), "step norm")
-        d_k = r_tilde / float(r_k) if self.record_d else None
-        return step, (float(r_k), r_tilde, l_k, step_norm, d_k)
+        return step, (float(r_k), r_tilde, l_k, step_norm)
 
     def stationary(self, x: Vector) -> Termination:
         """At an exact stationary point, report whether the oracle has also
@@ -369,8 +368,7 @@ class _FixedStep:
 
 
 def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
-             grad_tol: float, keep_iterates: bool,
-             inner_value: Optional[Callable[[Vector], float]] = None) -> RunTrace:
+             grad_tol: float, keep_iterates: bool) -> RunTrace:
     """The iteration both solvers share.  Each iterate is evaluated once;
     ``rule(x, g, grad_norm)`` returns the step and the record's step fields
     in :class:`IterationRecord` order, from ``r_k`` on.
@@ -405,10 +403,7 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
             if rule.diverged is None:
                 raise
             raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
-        record = IterationRecord(k, f_val, grad_norm, *fields)
-        if inner_value is not None:
-            record.g_val = float(inner_value(x))
-        records.append(record)
+        records.append(IterationRecord(k, f_val, grad_norm, *fields))
         x = next_x
         if keep_iterates:
             iterates.append(x.copy())
@@ -419,18 +414,15 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
 
 def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
                 config: SolverConfig,
-                inner_value: Optional[Callable[[Vector], float]] = None,
                 keep_iterates: bool = False) -> RunTrace:
     """Run the oracle-driven solver from ``x0`` until the gradient tolerance
     is met, the iterate is exactly stationary, or the budget is exhausted.
 
-    ``inner_value``, when given, is evaluated at each iterate and stored on
-    the record (used to diagnose composition runs).  ``keep_iterates``
-    stores every iterate on the trace, final point included.
+    ``keep_iterates`` stores every iterate on the trace, final point
+    included; the composition and Q-linear checks read them.
     """
     return _descend(problem, x0, _OracleStep(oracle, problem, config),
-                    config.max_iters, config.grad_tol, keep_iterates,
-                    inner_value)
+                    config.max_iters, config.grad_tol, keep_iterates)
 
 
 def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
@@ -445,5 +437,7 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
         raise ValueError(f"eta must be positive, got {eta}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not (grad_tol >= 0.0):
+        raise ValueError(f"grad_tol must be >= 0, got {grad_tol}")
     return _descend(problem, x0, _FixedStep(eta), max_iters, grad_tol,
                     keep_iterates)

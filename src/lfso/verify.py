@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Lfso, GradientOracle, RunTrace
+from .core import Lfso, GradientOracle, RunTrace, euclidean_norm
 from .errors import (AssumptionUnmetError, InsufficientDataError,
                      MissingDiagnosticsError)
 from .problems import CompositionProblem, LpRegressionProblem
@@ -248,25 +248,31 @@ def check_composition_run(problem: CompositionProblem, trace: RunTrace,
     """For a composition run with R_k = ||grad g(x_k)||, check the inflation
     factor D_k = R~_k / ||grad g(x_k)|| stays in [1, max(1, eta/l_g)] and
     the effective inner stepsize eta h'(g(x_k)) / L_k never exceeds
-    eta / l_g.  Reports the smallest effective stepsize seen."""
+    eta / l_g.  Reports the smallest effective stepsize seen.
+
+    Both quantities are derived from the stored iterates, so the run needs
+    ``keep_iterates=True``; a record whose R_k is not ||grad g(x_k)|| raises
+    :class:`MissingDiagnosticsError`."""
     if trace.algorithm != "lfso":
         raise ValueError("check_composition_run expects a trace from run_lfso_gd")
+    if trace.iterates is None:
+        raise MissingDiagnosticsError(
+            "trace lacks iterates; run with keep_iterates=True")
     d_cap = max(1.0, eta / problem.l_g)
     eff_cap = eta / problem.l_g
     violations = 0
     min_eff = float("inf")
     max_d = 0.0
-    for rec in trace.records:
-        if rec.d_k is None:
+    for rec, x in zip(trace.records, trace.iterates):
+        if rec.r_k != euclidean_norm(problem.g.grad(x)):
             raise MissingDiagnosticsError(
-                "trace lacks d_k; run with the grad-g-norm radius policy")
-        if rec.g_val is None:
-            raise MissingDiagnosticsError(
-                "trace lacks inner-function values; pass inner_value to the solver")
-        max_d = max(max_d, rec.d_k)
-        if not (1.0 - 1e-12 <= rec.d_k <= d_cap + 1e-12):
+                f"R_k at k={rec.k} is not ||grad g(x_k)||; "
+                "run with the grad-g-norm radius policy")
+        inflation = rec.r_tilde_k / rec.r_k
+        max_d = max(max_d, inflation)
+        if not (1.0 - 1e-12 <= inflation <= d_cap + 1e-12):
             violations += 1
-        eff = eta * float(problem.h_prime(rec.g_val)) / rec.l_k
+        eff = eta * float(problem.h_prime(float(problem.g.eval(x)))) / rec.l_k
         min_eff = min(min_eff, eff)
         if eff > eff_cap * (1.0 + 1e-12):
             violations += 1

@@ -44,7 +44,6 @@ def run_norm_power(p, max_iters, keep_iterates=False):
     config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
                           eta=1.0, max_iters=max_iters)
     trace = run_lfso_gd(oracle, problem.objective(), np.ones(10), config,
-                        inner_value=problem.g.eval,
                         keep_iterates=keep_iterates)
     return problem, trace
 
@@ -61,7 +60,7 @@ def run_lp_norm(p, max_iters, keep_iterates=False):
 
 @pytest.fixture(scope="module")
 def fig2a_traces():
-    return {p: run_norm_power(p, 10_000) for p in PS}
+    return {p: run_norm_power(p, 10_000, keep_iterates=True) for p in PS}
 
 
 @pytest.fixture(scope="module")

@@ -178,13 +178,13 @@ class TestConfigFile:
     def test_every_field_parses_to_its_type(self, tmp_path):
         values = {"problem": "lp-norm", "d": "3", "p": "2", "eta": "0.5",
                   "max_iters": "7", "grad_tol": "1e-9",
-                  "r_policy": "residual-inf", "x0": "ones", "seed": "5",
+                  "r_policy": "residual-inf", "x0": "ones",
                   "out_path": "t.csv", "solver": "fixed",
                   "data_path": "system.txt"}
         assert set(values) == {f.name for f in fields(cli.ExperimentConfig)}
         expected = cli.ExperimentConfig(
             problem="lp-norm", d=3, p=2, eta=0.5, max_iters=7, grad_tol=1e-9,
-            r_policy="residual-inf", x0="ones", seed=5, out_path="t.csv",
+            r_policy="residual-inf", x0="ones", out_path="t.csv",
             solver="fixed", data_path="system.txt")
         cfg = cli.config_from_sources(values, {})
         assert cfg == expected
@@ -225,6 +225,22 @@ class TestUsageErrors:
                             "--solver", "fixed", "--eta", "1.0",
                             "--out", tmp_path / "x.csv"]) == 2
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["lfso", "fixed"])
+    @pytest.mark.parametrize("grad_tol", ["-1", "nan"])
+    def test_bad_grad_tol_exits_2(self, tmp_path, capsys, solver, grad_tol):
+        assert run_cli(["run", "--solver", solver, "--eta", "0.1",
+                        "--grad-tol", grad_tol,
+                        "--out", tmp_path / "x.csv"]) == 2
+        assert "grad_tol" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_run_takes_no_seed(self, capsys):
+        # run draws no random numbers; only verify takes a seed
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestReproduce:
@@ -318,7 +334,7 @@ class TestVerifyCommand:
 
     def test_bad_seed_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("LFSO_SEED", "abc")
-        assert cli.build_parser().parse_args(["run"]).seed is None
+        assert "seed" not in vars(cli.build_parser().parse_args(["run"]))
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify"])
         assert exc.value.code == 2

@@ -118,7 +118,8 @@ class TestLfsoStep:
         trace = one_step(oracle, problem.objective(), x0, None,
                          r_policy=RPolicy.grad_g_norm(problem.g.grad))
         assert np.allclose(trace.final_x, (1.0 - 1.0 / 27.0) * x0, rtol=1e-15)
-        assert trace.records[0].d_k == pytest.approx(1.0)
+        rec = trace.records[0]
+        assert rec.r_tilde_k / rec.r_k == pytest.approx(1.0)
 
     def test_oracle_overflow_raises(self):
         problem, _ = quadratic(2)
@@ -307,6 +308,12 @@ class TestRunFixedGd:
         with pytest.raises(ValueError):
             run_fixed_gd(problem, np.ones(2), 0.0)
 
+    @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")])
+    def test_bad_grad_tol_rejected(self, grad_tol):
+        problem, _ = quadratic(2)
+        with pytest.raises(ValueError, match="grad_tol"):
+            run_fixed_gd(problem, np.ones(2), 0.1, grad_tol=grad_tol)
+
 
 class TestConfigAndTypes:
     @pytest.mark.parametrize("eta", [0.0, -1.0, 2.0, 2.5, float("nan")])
@@ -329,7 +336,6 @@ class TestConfigAndTypes:
         trace = run_lfso_gd(oracle, problem, np.ones(3), config)
         assert policy.kind == "callback"
         assert trace.records[0].r_k == pytest.approx(0.5 * math.sqrt(3.0))
-        assert trace.records[0].d_k is None
 
     def test_bad_grad_tol_and_budget(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import linecache
 import math
 import os
 import sys
+import threading
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -596,3 +598,53 @@ class TestSharedInnerGradNorm:
         del problem, oracle, config
         gc.collect()
         assert grad_ref() is None
+
+
+class TestConcurrentRuns:
+    """The memo holds one module-level entry per kind, so runs in threads
+    evict each other's entry; their results must not change."""
+
+    @staticmethod
+    def runs():
+        """Two regression and two composition runs, each with its own
+        problem objects."""
+        rng = np.random.default_rng(5)
+        runs = []
+        for p in (2, 3):
+            a = np.eye(12) + 0.01 * rng.normal(size=(12, 12))
+            problem, oracle = make_lp_regression(a, rng.normal(size=12), p)
+            config = SolverConfig(r_policy=RPolicy.residual_inf_norm(a, problem.b),
+                                  max_iters=400, use_grad_bound=True)
+            runs.append((oracle, problem.objective(), np.zeros(12), config))
+        for p in (2, 3):
+            problem, oracle = make_norm_power(10, p)
+            config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                                  max_iters=400)
+            runs.append((oracle, problem.objective(), np.ones(10), config))
+        return runs
+
+    @staticmethod
+    def fingerprint(trace):
+        rows = np.array([[rec.k, rec.f_val, rec.grad_norm, rec.r_k,
+                          rec.r_tilde_k, rec.l_k, rec.step_norm]
+                         for rec in trace.records])
+        return (trace.termination, rows.tobytes(), trace.final_x.tobytes(),
+                np.array([trace.final_f, trace.final_grad_norm]).tobytes())
+
+    def test_threads_match_sequential_runs_bit_for_bit(self):
+        runs = self.runs()
+        sequential = [self.fingerprint(run_lfso_gd(*run)) for run in runs]
+        barrier = threading.Barrier(len(runs))
+
+        def solve(run):
+            barrier.wait()
+            return self.fingerprint(run_lfso_gd(*run))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so entries are evicted
+        try:
+            with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+                concurrent = list(pool.map(solve, runs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential

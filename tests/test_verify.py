@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestCompositionCheck:
         config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
                               max_iters=iters)
         trace = run_lfso_gd(oracle, problem.objective(), np.ones(10), config,
-                            inner_value=problem.g.eval)
+                            keep_iterates=True)
         return problem, trace
 
     def test_p2_inflation_factor_pinned_at_one(self):
@@ -170,21 +171,47 @@ class TestCompositionCheck:
         # bound arithmetic for a hypothetical eta above l_g
         assert max(1.0, 3.0 / problem.l_g) == 1.5
 
-    def test_missing_inner_values_raises(self):
-        problem, oracle = make_norm_power(4, 2)
+    def test_trace_without_iterates_raises(self):
+        problem, oracle = make_norm_power(10, 2)
         config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
-                              max_iters=5)
-        trace = run_lfso_gd(oracle, problem.objective(), np.ones(4), config)
-        with pytest.raises(MissingDiagnosticsError):
+                              max_iters=20)
+        trace = run_lfso_gd(oracle, problem.objective(), np.ones(10), config)
+        with pytest.raises(MissingDiagnosticsError, match="iterates"):
             check_composition_run(problem, trace, 1.0)
 
-    def test_missing_d_k_raises(self):
-        problem, oracle = make_norm_power(4, 2)
-        config = SolverConfig(r_policy=RPolicy.constant(1.0), max_iters=5)
-        trace = run_lfso_gd(oracle, problem.objective(), np.ones(4), config,
-                            inner_value=problem.g.eval)
-        with pytest.raises(MissingDiagnosticsError):
+    def test_constant_radius_run_raises(self):
+        problem, oracle = make_norm_power(10, 2)
+        config = SolverConfig(r_policy=RPolicy.constant(1.0), max_iters=20)
+        trace = run_lfso_gd(oracle, problem.objective(), np.ones(10), config,
+                            keep_iterates=True)
+        with pytest.raises(MissingDiagnosticsError, match="k=0"):
             check_composition_run(problem, trace, 1.0)
+
+    @staticmethod
+    def tampered(trace, **scale):
+        """A copy of ``trace`` with the named record fields multiplied."""
+        records = [replace(rec, **{key: getattr(rec, key) * factor
+                                   for key, factor in scale.items()})
+                   for rec in trace.records]
+        return replace(trace, records=records)
+
+    def test_tampered_radius_inflation_flagged(self):
+        problem, trace = self.run_norm_power(2, iters=20)
+        assert check_composition_run(problem, trace, 1.0).violations == 0
+        report = check_composition_run(
+            problem, self.tampered(trace, r_tilde_k=2.0), 1.0)
+        assert report.violations == trace.num_steps
+        assert report.stats["max_d"] == pytest.approx(2.0)
+
+    def test_tampered_oracle_value_flagged(self):
+        # at p = 1 the effective step sits exactly at its cap eta / l_g (at
+        # p = 2 it is 1/27 of eta, so halving L_k would not reach the cap)
+        problem, trace = self.run_norm_power(1, iters=20)
+        assert check_composition_run(problem, trace, 1.0).violations == 0
+        report = check_composition_run(
+            problem, self.tampered(trace, l_k=0.5), 1.0)
+        assert report.violations == trace.num_steps > 0
+        assert report.stats["min_effective_step"] == 2.0 / problem.l_g
 
 
 class TestHolderCheck:

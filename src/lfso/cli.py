@@ -12,6 +12,7 @@ The LFSO_SEED environment variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -160,7 +161,13 @@ def _fig1a_etas(file_values: dict) -> dict:
             raise ConfigError(f"unknown config key: {key} "
                               "(reproduce reads only fig1a_eta_p<p>)")
         p = _parse_scalar(key[len("fig1a_eta_p"):], int, key)
-        etas[p] = _parse_scalar(text, float, key)
+        if p not in FIG1A_DEFAULT_ETAS:
+            raise ConfigError(f"unknown config key: {key} "
+                              f"(fig1a runs p in {tuple(FIG1A_DEFAULT_ETAS)})")
+        eta = _parse_scalar(text, float, key)
+        if not (eta > 0 and math.isfinite(eta)):
+            raise ConfigError(f"{key} must be positive and finite, got {eta}")
+        etas[p] = eta
     return etas
 
 

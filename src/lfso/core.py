@@ -29,6 +29,9 @@ from .errors import (LfsoError, NonFiniteValueError, ShapeMismatchError,
 
 Vector = np.ndarray
 
+# Smallest positive normal float64; a gradient norm below it is subnormal.
+_NORMAL_FLOOR = float(np.finfo(np.float64).tiny)
+
 
 def as_vector(values) -> Vector:
     """Coerce to a finite 1-D float64 array of length >= 1."""
@@ -222,7 +225,19 @@ class SolverConfig:
 
 
 class Termination(enum.Enum):
+    """Why a run stopped, tested in this order at each iterate x_k:
+
+    - ``max-iterations``: the budget of steps is spent;
+    - ``stationary-exact`` / ``oracle-zero``: grad f(x_k) is exactly 0, and
+      the oracle at x_k is positive / has collapsed to 0 as well;
+    - ``gradient-tolerance``: ||grad f(x_k)|| <= grad_tol;
+    - ``gradient-underflow``: 0 < ||grad f(x_k)|| < the smallest normal
+      float64 (``np.finfo(float).tiny``).  A subnormal gradient has lost
+      relative precision, so further steps would follow rounding, not f.
+    """
+
     GRADIENT_TOLERANCE = "gradient-tolerance"
+    GRADIENT_UNDERFLOW = "gradient-underflow"
     MAX_ITERATIONS = "max-iterations"
     STATIONARY_EXACT = "stationary-exact"
     ORACLE_ZERO = "oracle-zero"
@@ -395,6 +410,9 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
             if grad_norm <= grad_tol:
                 termination = Termination.GRADIENT_TOLERANCE
                 break
+            if grad_norm < _NORMAL_FLOOR:
+                termination = Termination.GRADIENT_UNDERFLOW
+                break
             step, fields = rule(x, g, grad_norm)
             next_x = x - step
             if not np.isfinite(next_x).all():
@@ -416,7 +434,8 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
                 config: SolverConfig,
                 keep_iterates: bool = False) -> RunTrace:
     """Run the oracle-driven solver from ``x0`` until the gradient tolerance
-    is met, the iterate is exactly stationary, or the budget is exhausted.
+    is met, the gradient norm turns subnormal, the iterate is exactly
+    stationary, or the budget is exhausted (see :class:`Termination`).
 
     ``keep_iterates`` stores every iterate on the trace, final point
     included; the composition and Q-linear checks read them.

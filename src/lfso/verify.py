@@ -24,6 +24,10 @@ GENERATOR_ID = "numpy-pcg64"
 # Positive values below this are treated as underflow and cut from rate fits.
 RATE_FLOOR = 1e-300
 
+# Size of the buffer that holds one column block of every stored iterate
+# in the Q-linear check.
+_QLINEAR_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -77,10 +81,10 @@ def _ball_point(rng: np.random.Generator, x: np.ndarray, radius: float) -> np.nd
     """Uniform draw from the closed ball B(x, radius)."""
     d = x.size
     v = rng.standard_normal(d)
-    nv = np.linalg.norm(v)
+    nv = math.sqrt(v.dot(v))
     if nv == 0.0:
         v = np.ones(d)
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v.dot(v))
     u = rng.uniform() ** (1.0 / d)
     return x + (radius * u / nv) * v
 
@@ -107,11 +111,13 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
         dist_sq = float(diff @ diff)
         if dist_sq == 0.0:
             continue
-        fx = float(problem.eval(x))
-        fy = float(problem.eval(y))
+        # every value at x before the one at y, so the per-iterate memo of
+        # lfso.core serves x's gradient, value and oracle from one entry
         lin = float(problem.grad(x) @ diff)
-        lhs = abs(fy - fx - lin)
+        fx = float(problem.eval(x))
         rhs = 0.5 * float(oracle.eval(x, radius)) * dist_sq
+        fy = float(problem.eval(y))
+        lhs = abs(fy - fx - lin)
         noise = 8.0 * eps * (abs(fx) + abs(fy) + abs(lin)) + 1e-300
         ratio = lhs / (rhs + noise)
         worst_ratio = max(worst_ratio, ratio)
@@ -383,11 +389,38 @@ def classify_rate(values: Sequence[float],
     return "indeterminate"
 
 
+def _residual_norms(a: np.ndarray, b: np.ndarray, iterates: Sequence) -> list:
+    """``||A x_k - b||_2`` of every iterate, from one pass over A.
+
+    The columns of A are taken in blocks J; each block of every iterate,
+    ``x_k[J]``, is copied into one reused K x |J| buffer of at most
+    ``_QLINEAR_BLOCK_BYTES``, and one matrix product adds its share to all
+    K residuals at once.  This reads A once where K matrix-vector products
+    would read it K times.  On A = I with d columns in one block the sums
+    are exact, so the norms equal those of ``A @ x_k - b`` bit for bit.
+    """
+    count = len(iterates)
+    d = a.shape[1]
+    width = min(d, max(1, _QLINEAR_BLOCK_BYTES // (8 * max(1, count))))
+    res = np.zeros((count, a.shape[0]))
+    buf = np.empty((count, width))
+    for start in range(0, d, width):
+        stop = min(start + width, d)
+        block = buf[:, :stop - start]
+        for row, x in zip(block, iterates):
+            row[:] = x[start:stop]
+        res += block @ a[:, start:stop].T
+    res -= b
+    return [float(np.linalg.norm(row)) for row in res]
+
+
 def check_regression_qlinear(problem: LpRegressionProblem, trace: RunTrace,
                              name: str = "regression-qlinear") -> CheckReport:
     """Measure the worst per-step residual contraction ratio
     rho = max_k ||r_{k+1}||_2 / ||r_k||_2 over a regression trace and
-    require rho < 1.  Needs the stored iterates.
+    require rho < 1.  Needs the stored iterates; their residuals come from
+    one pass over A, not from :func:`lfso.core.residual`, so the check
+    leaves the solver's memo entry in place.
 
     Raises :class:`AssumptionUnmetError` when the conditioning requirement
     cond(A)^4 < n/(n-1) fails, since the guarantee does not apply.
@@ -399,7 +432,7 @@ def check_regression_qlinear(problem: LpRegressionProblem, trace: RunTrace,
     if trace.iterates is None:
         raise MissingDiagnosticsError(
             "trace lacks iterates; run with keep_iterates=True")
-    norms = [float(np.linalg.norm(problem.residual(x))) for x in trace.iterates]
+    norms = _residual_norms(problem.a, problem.b, trace.iterates)
     violations = 0
     rho = 0.0
     ratios = 0

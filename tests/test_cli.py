@@ -291,6 +291,27 @@ class TestReproduce:
         assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "figs").exists()
 
+    @pytest.mark.parametrize("key", ["fig1a_eta_p0", "fig1a_eta_p6",
+                                     "fig1a_eta_p7", "fig1a_eta_p-1"])
+    def test_fig1a_eta_for_unrun_p_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = 0.1\n")
+        assert run_cli(["reproduce", "--figure", "fig1a", "--out-dir",
+                        tmp_path / "figs", "--config", cfg]) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "-0.0", "nan", "inf"])
+    def test_bad_fig1a_eta_exits_2_before_any_file(self, tmp_path, capsys,
+                                                   value):
+        # p = 3 comes after p = 1 and p = 2, which used to be written first
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"fig1a_eta_p3 = {value}\n")
+        assert run_cli(["reproduce", "--figure", "all", "--out-dir",
+                        tmp_path / "figs", "--config", cfg]) == 2
+        assert "fig1a_eta_p3 must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
     def test_all_figures(self, tmp_path):
         out = tmp_path / "figs"
         assert run_cli(["reproduce", "--figure", "all", "--out-dir", out,

@@ -162,6 +162,74 @@ def test_each_iterate_evaluated_once(solver, eta, max_iters, grad_tol,
     assert calls == {"eval": steps + 1, "grad": steps + 1}
 
 
+TINY = float(np.finfo(np.float64).tiny)
+
+
+def identity_gradient():
+    """f(x) = ||x||^2 / 2, whose gradient is x itself, with oracle 1."""
+    problem = GradientOracle(dim=1, eval=lambda x: 0.5 * float(x @ x),
+                             grad=lambda x: x.copy())
+    return problem, Lfso(eval=lambda x, r: 1.0)
+
+
+@pytest.mark.parametrize("solver", ["lfso", "fixed"])
+class TestGradientUnderflow:
+    """A run stops with ``gradient-underflow`` at the first iterate whose
+    gradient norm is positive but below the smallest normal float64."""
+
+    @staticmethod
+    def run(solver, x0, eta=0.5, max_iters=10_000, grad_tol=0.0):
+        problem, oracle = quadratic(3)
+        x0 = np.full(3, x0)
+        if solver == "lfso":
+            config = SolverConfig(r_policy=RPolicy.constant(1.0), eta=eta,
+                                  max_iters=max_iters, grad_tol=grad_tol)
+            return run_lfso_gd(oracle, problem, x0, config)
+        return run_fixed_gd(problem, x0, eta / 2.0, max_iters=max_iters,
+                            grad_tol=grad_tol)
+
+    def test_stops_at_first_subnormal_gradient(self, solver):
+        # x halves each step, so ||grad f|| = 2 sqrt(3) x falls below tiny
+        trace = self.run(solver, 1e-300)
+        assert trace.termination is Termination.GRADIENT_UNDERFLOW
+        assert 0.0 < trace.final_grad_norm < TINY
+        assert min(rec.grad_norm for rec in trace.records) >= TINY
+        steps = 0
+        while 2.0 * math.sqrt(3.0) * 1e-300 * 0.5 ** steps >= TINY:
+            steps += 1
+        assert trace.num_steps == steps
+        assert np.all(trace.final_x > 0.0)
+
+    def test_subnormal_start_takes_no_step(self, solver):
+        trace = self.run(solver, 1e-310)
+        assert trace.num_steps == 0
+        assert trace.termination is Termination.GRADIENT_UNDERFLOW
+
+    def test_tolerance_checked_first(self, solver):
+        trace = self.run(solver, 1e-310, grad_tol=1e-300)
+        assert trace.termination is Termination.GRADIENT_TOLERANCE
+
+    def test_exact_zero_checked_first(self, solver):
+        # eta = 1 jumps to the minimizer, whose gradient is exactly 0
+        trace = self.run(solver, 1e-300, eta=1.0)
+        assert trace.termination is Termination.STATIONARY_EXACT
+
+    def test_smallest_normal_gradient_is_not_underflow(self, solver):
+        # from grad = tiny one step lands on a subnormal gradient, where the
+        # budget of one step is spent: the budget is tested first
+        problem, oracle = identity_gradient()
+        for x0, want in ((TINY, Termination.MAX_ITERATIONS),
+                         (np.nextafter(TINY, 0.0), Termination.GRADIENT_UNDERFLOW)):
+            if solver == "lfso":
+                config = SolverConfig(r_policy=RPolicy.constant(1.0),
+                                      eta=0.5, max_iters=1)
+                trace = run_lfso_gd(oracle, problem, np.array([x0]), config)
+            else:
+                trace = run_fixed_gd(problem, np.array([x0]), 0.5, max_iters=1)
+            assert trace.termination is want
+            assert 0.0 < trace.final_grad_norm < TINY
+
+
 class TestRunLfsoGd:
     def test_p1_composition_one_step_stationary(self):
         problem, oracle = make_norm_power(10, 1)

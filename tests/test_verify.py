@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfso import verify
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
                        run_fixed_gd, run_lfso_gd)
 from lfso.errors import (AssumptionUnmetError, InsufficientDataError,
@@ -13,11 +15,12 @@ from lfso.errors import (AssumptionUnmetError, InsufficientDataError,
 from lfso.oracles import ConstantLfsoParams, constant_lfso
 from lfso.problems import (QuarticProblem, make_lp_regression,
                            make_norm_power)
-from lfso.verify import (SampleSpec, check_composition_run, check_holder,
-                         check_lfso_validity, check_monotone_in_R,
+from lfso.verify import (SampleSpec, _residual_norms, check_composition_run,
+                         check_holder, check_lfso_validity, check_monotone_in_R,
                          check_quartic_threshold, check_regression_qlinear,
                          check_trace, classify_rate, fit_linear_rate,
                          fit_powerlaw_rate, quartic_containment_threshold)
+from test_problems import count_products
 
 QUARTIC = QuarticProblem()
 
@@ -293,14 +296,98 @@ class TestRateFitting:
 
 
 class TestRegressionQlinear:
-    def lp_trace(self, p, d=10, iters=200):
-        problem, oracle = make_lp_regression(np.eye(d), np.zeros(d), p)
+    @staticmethod
+    def run(a, b, x0, p=2, iters=200, grad_tol=0.0):
+        problem, oracle = make_lp_regression(a, b, p)
         config = SolverConfig(
             r_policy=RPolicy.residual_inf_norm(problem.a, problem.b),
-            max_iters=iters, use_grad_bound=True)
-        trace = run_lfso_gd(oracle, problem.objective(), np.ones(d), config,
+            max_iters=iters, grad_tol=grad_tol, use_grad_bound=True)
+        trace = run_lfso_gd(oracle, problem.objective(), x0, config,
                             keep_iterates=True)
         return problem, trace
+
+    def lp_trace(self, p, d=10, iters=200):
+        return self.run(np.eye(d), np.zeros(d), np.ones(d), p, iters)
+
+    def wide_trace(self, n=6, d=2000):
+        """A wide A with orthonormal rows scaled into [1, 1.01], so
+        cond(A)^4 < n/(n-1), and a 200-step run from 0."""
+        rng = np.random.default_rng(20231108)
+        q, _ = np.linalg.qr(rng.standard_normal((d, n)))
+        a = np.linspace(1.0, 1.01, n)[:, None] * q.T
+        return self.run(np.ascontiguousarray(a), rng.standard_normal(n),
+                        np.zeros(d))
+
+    @staticmethod
+    def block_width(trace):
+        return verify._QLINEAR_BLOCK_BYTES // (8 * len(trace.iterates))
+
+    @staticmethod
+    def direct_norms(problem, trace):
+        return [float(np.linalg.norm(problem.a @ x - problem.b))
+                for x in trace.iterates]
+
+    def test_identity_norms_bit_equal(self):
+        rng = np.random.default_rng(5)
+        problem, trace = self.run(np.eye(10), rng.standard_normal(10),
+                                  rng.standard_normal(10))
+        assert len(trace.iterates) == 201
+        norms = _residual_norms(problem.a, problem.b, trace.iterates)
+        assert norms == self.direct_norms(problem, trace)
+
+    def test_wide_matrix_over_several_blocks(self):
+        problem, trace = self.wide_trace()
+        width = self.block_width(trace)
+        assert problem.theory_ok
+        assert problem.d > 2 * width and problem.d % width != 0
+        norms = _residual_norms(problem.a, problem.b, trace.iterates)
+        # against correctly rounded residuals, to 1e-12 of the size of the
+        # terms summed: near the solution A x_k - b cancels, and there the
+        # per-iterate A @ x_k - b is itself off by 2e-9 relative
+        b_norm = float(np.linalg.norm(problem.b))
+        for x, got in zip(trace.iterates, norms):
+            exact = [math.fsum([*(row * x), -b_i])
+                     for row, b_i in zip(problem.a, problem.b)]
+            want = math.sqrt(math.fsum(v * v for v in exact))
+            scale = problem.spec_norm * float(np.linalg.norm(x)) + b_norm
+            assert abs(got - want) <= 1e-12 * scale
+        report = check_regression_qlinear(problem, trace)
+        assert report.violations == 0
+        assert report.stats["steps"] == 200
+        assert report.stats["final_residual"] == norms[-1]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="needs BINARY_OP and instruction positions")
+    def test_one_product_per_column_block(self):
+        problem, trace = self.wide_trace()
+        _, counts = count_products(
+            lambda: check_regression_qlinear(problem, trace))
+        blocks = math.ceil(problem.d / self.block_width(trace))
+        assert blocks < len(trace.iterates)
+        assert counts == {"forward": blocks}
+
+    def test_solver_memo_entry_kept(self):
+        problem, trace = self.wide_trace()
+        before = problem.residual(trace.final_x)
+        check_regression_qlinear(problem, trace)
+        assert problem.residual(trace.final_x) is before
+
+    def test_tampered_iterate_flagged(self):
+        problem, trace = self.lp_trace(2)
+        trace.iterates[5] = 2.0 * trace.iterates[5]
+        report = check_regression_qlinear(problem, trace)
+        assert report.violations == 1
+        assert report.stats["rho"] == pytest.approx(2.0 * 11.0 / 12.0)
+
+    def test_single_iterate(self):
+        problem, trace = self.run(np.eye(4), np.zeros(4), np.ones(4),
+                                  grad_tol=float("inf"))
+        assert len(trace.iterates) == 1
+        report = check_regression_qlinear(problem, trace)
+        assert report.violations == 0
+        assert report.stats == {"steps": 0, "rho": 0.0,
+                                "initial_residual": 2.0,
+                                "final_residual": 2.0}
 
     def test_identity_p2_ratio(self):
         problem, trace = self.lp_trace(2)

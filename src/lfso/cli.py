@@ -12,9 +12,11 @@ The LFSO_SEED environment variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, fields
 from typing import Optional, get_args, get_type_hints
 
@@ -376,23 +378,34 @@ def shipped_pairs():
     return pairs
 
 
-def verify_all(seed: int, include_controls: bool = False):
+def verify_all(seed: int, include_controls: bool = False,
+               timings: Optional[dict] = None):
     """Run every check on every shipped pair plus short solver runs.
 
     Returns (report_text, total_violations).  With ``include_controls``
     the deliberately broken inputs join the suite, so violations are
-    expected and the exit status is nonzero.
+    expected and the exit status is nonzero.  A ``timings`` dict receives
+    the wall seconds of each check under its report block's name, and of
+    the whole suite under ``"total"``; the report text does not depend on it.
     """
+    suite_start = time.perf_counter()
     reports = []
+    seconds = {} if timings is None else timings
+
+    def timed(check, *args, **kwargs):
+        start = time.perf_counter()
+        report = check(*args, **kwargs)
+        seconds[report.name] = time.perf_counter() - start
+        reports.append(report)
 
     pairs = shipped_pairs()
     spec = checks.SampleSpec(num_points=1000, seed=seed)
     for name, objective, lfso, dim in pairs:
-        reports.append(checks.check_lfso_validity(
-            objective, lfso, spec, name=f"lfso-validity {name}"))
-        reports.append(checks.check_monotone_in_R(
-            lfso, checks.SampleSpec(num_points=32, seed=seed), dim,
-            name=f"monotone-in-R {name}"))
+        timed(checks.check_lfso_validity, objective, lfso, spec,
+              name=f"lfso-validity {name}")
+        timed(checks.check_monotone_in_R, lfso,
+              checks.SampleSpec(num_points=32, seed=seed), dim,
+              name=f"monotone-in-R {name}")
 
     runs = [ExperimentConfig(problem=problem, p=p, max_iters=500)
             for problem in ("norm2-pow", "lp-norm") for p in range(1, 6)]
@@ -401,33 +414,28 @@ def verify_all(seed: int, include_controls: bool = False):
         bundle = build_experiment(cfg)
         trace = execute(cfg, bundle, keep_iterates=True)
         label = cfg.problem + ("" if cfg.problem == "quartic" else f" p={cfg.p}")
-        reports.append(checks.check_trace(trace, cfg.eta, name=f"trace {label}"))
+        timed(checks.check_trace, trace, cfg.eta, name=f"trace {label}")
         if bundle.composition is not None:
-            reports.append(checks.check_composition_run(
-                bundle.composition, trace, cfg.eta, name=f"composition {label}"))
+            timed(checks.check_composition_run, bundle.composition, trace,
+                  cfg.eta, name=f"composition {label}")
         if bundle.regression is not None:
-            try:
-                reports.append(checks.check_regression_qlinear(
-                    bundle.regression, trace, name=f"qlinear {label}"))
-            except AssumptionUnmetError as exc:
-                reports.append(checks.CheckReport(
-                    name=f"qlinear {label}", violations=0,
-                    stats={"skipped": str(exc)}))
+            timed(_qlinear_or_skip, bundle.regression, trace,
+                  name=f"qlinear {label}")
 
-    reports.append(checks.check_quartic_threshold())
-    reports.append(checks.check_holder(
-        checks.SampleSpec(num_points=200, seed=seed, x_box=(-3.0, 3.0)),
-        t_values=[1.0, 1.5, 2.0, 3.0, 4.0]))
+    timed(checks.check_quartic_threshold)
+    timed(checks.check_holder,
+          checks.SampleSpec(num_points=200, seed=seed, x_box=(-3.0, 3.0)),
+          t_values=[1.0, 1.5, 2.0, 3.0, 4.0])
 
     if include_controls:
         quad_objective = pairs[1][1]
         wrong = constant_lfso(ConstantLfsoParams(l_f=1.0))
-        reports.append(checks.check_lfso_validity(
-            quad_objective, wrong, spec, name="CONTROL wrong-oracle"))
+        timed(checks.check_lfso_validity, quad_objective, wrong, spec,
+              name="CONTROL wrong-oracle")
         decreasing = Lfso(eval=lambda x, r: max(1.0, 2.0 - r))
-        reports.append(checks.check_monotone_in_R(
-            decreasing, checks.SampleSpec(num_points=8, seed=seed), 1,
-            name="CONTROL decreasing-oracle"))
+        timed(checks.check_monotone_in_R, decreasing,
+              checks.SampleSpec(num_points=8, seed=seed), 1,
+              name="CONTROL decreasing-oracle")
 
     total = sum(rep.violations for rep in reports)
     lines = [f"verification suite  seed={seed}  generator={checks.GENERATOR_ID}",
@@ -437,12 +445,33 @@ def verify_all(seed: int, include_controls: bool = False):
         lines.append("")
     lines.append(f"total_violations = {total}")
     lines.append(f"overall = {'ok' if total == 0 else 'FAIL'}")
+    seconds["total"] = time.perf_counter() - suite_start
     return "\n".join(lines) + "\n", total
 
 
+def _qlinear_or_skip(problem: LpRegressionProblem, trace: RunTrace,
+                     name: str) -> "checks.CheckReport":
+    """The Q-linear check, or a clean block saying why it does not apply."""
+    try:
+        return checks.check_regression_qlinear(problem, trace, name=name)
+    except AssumptionUnmetError as exc:
+        return checks.CheckReport(name=name, violations=0,
+                                  stats={"skipped": str(exc)})
+
+
 def cmd_verify(args) -> int:
-    text, total = verify_all(args.seed, include_controls=args.include_controls)
+    timings_file = None
+    if args.timings is not None:
+        # opened before the suite runs, so a bad path fails fast
+        timings_file = open(args.timings, "w", encoding="utf-8")
+    timings = {}
+    text, total = verify_all(args.seed, include_controls=args.include_controls,
+                             timings=timings)
     print(text, end="")
+    if timings_file is not None:
+        with timings_file:
+            json.dump(timings, timings_file, indent=1)
+            timings_file.write("\n")
     return 0 if total == 0 else 1
 
 
@@ -490,6 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=_seed, default=os.environ.get("LFSO_SEED", "0"))
     ver.add_argument("--include-controls", action="store_true",
                      help="also run the deliberately broken control inputs")
+    ver.add_argument("--timings", default=None, metavar="PATH",
+                     help="write each check's wall seconds as JSON to PATH")
     ver.set_defaults(handler=cmd_verify)
     return parser
 

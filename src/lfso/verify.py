@@ -41,6 +41,11 @@ class SampleSpec:
     def __post_init__(self) -> None:
         if self.num_points < 1:
             raise ValueError("num_points must be >= 1")
+        for label, (low, high) in (("x_box", self.x_box),
+                                   ("r_range", self.r_range)):
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError(f"{label} endpoints must be finite, "
+                                 f"got {(low, high)}")
         if not self.x_box[0] < self.x_box[1]:
             raise ValueError(f"x_box must be (low, high), got {self.x_box}")
         if not (0.0 < self.r_range[0] < self.r_range[1]):
@@ -77,16 +82,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _ball_point(rng: np.random.Generator, x: np.ndarray, radius: float) -> np.ndarray:
-    """Uniform draw from the closed ball B(x, radius)."""
-    d = x.size
-    v = rng.standard_normal(d)
-    nv = math.sqrt(v.dot(v))
-    if nv == 0.0:
-        v = np.ones(d)
-        nv = math.sqrt(v.dot(v))
-    u = rng.uniform() ** (1.0 / d)
-    return x + (radius * u / nv) * v
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``a[i] @ a[i]`` of every row, each from the same dot kernel a single
+    ``v @ v`` uses (``matmul`` of a 1 x d row by its d x 1 column)."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
 def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
@@ -95,20 +94,38 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
 
         |f(y) - f(x) - grad f(x)^T (y - x)| <= L(x, R)/2 * ||y - x||^2.
 
+    The n = ``spec.num_points`` samples are drawn as four blocks, in this
+    order: the centres X ~ U(x_box)^(n x d), the radii R ~ U(r_range)^n,
+    the directions V ~ N(0, 1)^(n x d) and U ~ U(0, 1)^n.  Row i gives the
+    uniform ball point y_i = x_i + (R_i U_i^(1/d) / ||v_i||) v_i, with a
+    zero row of V replaced by ones.
+
     Comparisons carry a 1e-10 relative slack plus an absolute floor sized
     to the float cancellation in evaluating the left side.
     """
     rng = np.random.default_rng(spec.seed)
-    low, high = spec.x_box
+    n, d = spec.num_points, problem.dim
+    xs = rng.uniform(spec.x_box[0], spec.x_box[1], (n, d))
+    radii = rng.uniform(spec.r_range[0], spec.r_range[1], n).tolist()
+    dirs = rng.standard_normal((n, d))
+    shrinks = rng.uniform(size=n).tolist()
+    dir_sq = _row_dots(dirs)
+    zero = dir_sq == 0.0
+    if zero.any():
+        dirs[zero] = 1.0
+        dir_sq[zero] = float(d)
+    inv_d = 1.0 / d
+    # U_i^(1/d) per sample in Python floats (C pow); numpy's vectorised
+    # power may round differently
+    scales =[radius * u ** inv_d / nv for radius, u, nv in
+              zip(radii, shrinks, np.sqrt(dir_sq).tolist())]
+    ys = xs + np.array(scales)[:, None] * dirs
+    diffs = ys - xs
     violations = 0
     worst_ratio = 0.0
     eps = float(np.finfo(np.float64).eps)
-    for _ in range(spec.num_points):
-        x = rng.uniform(low, high, problem.dim)
-        radius = rng.uniform(spec.r_range[0], spec.r_range[1])
-        y = _ball_point(rng, x, radius)
-        diff = y - x
-        dist_sq = float(diff @ diff)
+    for x, y, diff, radius, dist_sq in zip(xs, ys, diffs, radii,
+                                           _row_dots(diffs).tolist()):
         if dist_sq == 0.0:
             continue
         # every value at x before the one at y, so the per-iterate memo of
@@ -141,8 +158,7 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
     grid = np.geomspace(spec.r_range[0], spec.r_range[1], grid_size)
     violations = 0
     worst_drop = 0.0
-    for _ in range(spec.num_points):
-        x = rng.uniform(low, high, dim)
+    for x in rng.uniform(low, high, (spec.num_points, dim)):
         values = [float(oracle.eval(x, float(r))) for r in grid]
         for lo_val, hi_val in zip(values, values[1:]):
             if lo_val > hi_val * (1.0 + 1e-14):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -346,6 +347,28 @@ class TestVerifyCommand:
         run_cli(["verify", "--seed", "11"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_timings_name_every_block(self, tmp_path, capsys):
+        path = tmp_path / "timings.json"
+        assert run_cli(["verify", "--seed", "5", "--include-controls",
+                        "--timings", path]) == 1
+        with_flag = capsys.readouterr().out
+        assert run_cli(["verify", "--seed", "5", "--include-controls"]) == 1
+        assert capsys.readouterr().out == with_flag
+        blocks = [line[1:-1] for line in with_flag.splitlines()
+                  if line.startswith("[") and line.endswith("]")]
+        timings = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(timings) == sorted(blocks + ["total"])
+        assert len(blocks) == len(set(blocks))
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert timings["total"] >= sum(timings[name] for name in blocks)
+
+    def test_timings_unwritable_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "timings.json"
+        assert run_cli(["verify", "--seed", "5", "--timings", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timings.json" in captured.err
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("LFSO_SEED", "77")

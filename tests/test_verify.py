@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfso import verify
+from lfso.cli import shipped_pairs
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
                        run_fixed_gd, run_lfso_gd)
 from lfso.errors import (AssumptionUnmetError, InsufficientDataError,
@@ -32,7 +33,104 @@ def quartic_run(x0=1.0, eta=1.0, r=0.1, iters=100):
                        np.array([x0]), config)
 
 
+def reference_validity(problem, oracle, spec):
+    """The validity check as a per-sample loop: the four sample blocks
+    rebuilt in their documented order, each ball point formed as the
+    former per-sample ``_ball_point`` formed it, and the comparison
+    written out sample by sample."""
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.num_points, problem.dim
+    xs = rng.uniform(spec.x_box[0], spec.x_box[1], (n, d))
+    radii = rng.uniform(spec.r_range[0], spec.r_range[1], n)
+    dirs = rng.standard_normal((n, d))
+    us = rng.uniform(size=n)
+    violations = 0
+    worst_ratio = 0.0
+    eps = float(np.finfo(np.float64).eps)
+    for x, radius, v, u in zip(xs, radii.tolist(), dirs, us.tolist()):
+        nv = math.sqrt(v.dot(v))
+        if nv == 0.0:
+            v = np.ones(d)
+            nv = math.sqrt(v.dot(v))
+        y = x + (radius * u ** (1.0 / d) / nv) * v
+        diff = y - x
+        dist_sq = float(diff @ diff)
+        if dist_sq == 0.0:
+            continue
+        lin = float(problem.grad(x) @ diff)
+        fx = float(problem.eval(x))
+        rhs = 0.5 * float(oracle.eval(x, radius)) * dist_sq
+        fy = float(problem.eval(y))
+        lhs = abs(fy - fx - lin)
+        noise = 8.0 * eps * (abs(fx) + abs(fy) + abs(lin)) + 1e-300
+        worst_ratio = max(worst_ratio, lhs / (rhs + noise))
+        if lhs > rhs * (1.0 + 1e-10) + noise:
+            violations += 1
+    return violations, worst_ratio
+
+
+def recording_pair(problem, oracle):
+    """Copies of ``problem`` and ``oracle`` that log every call as
+    (kind, point, radius), in call order."""
+    calls = []
+
+    def logged(kind, fn):
+        def wrapped(x, *radius):
+            calls.append((kind, np.array(x), *radius))
+            return fn(x, *radius)
+        return wrapped
+
+    return (GradientOracle(dim=problem.dim, eval=logged("f", problem.eval),
+                           grad=logged("grad", problem.grad)),
+            Lfso(eval=logged("L", oracle.eval)), calls)
+
+
+def quadratic(dim):
+    return GradientOracle(dim=dim, eval=lambda x: float(x @ x),
+                          grad=lambda x: 2.0 * x)
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class _ZeroFirstDirection:
+    """A PCG64 generator whose first ``standard_normal`` block starts with a
+    zero row, the draw the ball-point guard exists for."""
+
+    def __init__(self, seed):
+        self._rng = _DEFAULT_RNG(seed)
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+    def standard_normal(self, size):
+        block = self._rng.standard_normal(size)
+        block[0] = 0.0
+        return block
+
+
+def sampled_pairs():
+    """Objective-oracle pairs for the layout test, by label."""
+    pairs = {"quartic": (QUARTIC.objective(), QUARTIC.lfso()),
+             "wrong constant": (quadratic(10),
+                                constant_lfso(ConstantLfsoParams(1.0)))}
+    for p in (1, 3, 5):
+        problem, oracle = make_norm_power(10, p)
+        pairs[f"norm2-pow p={p}"] = (problem.objective(), oracle)
+        problem, oracle = make_lp_regression(np.eye(10), np.zeros(10), p)
+        pairs[f"lp-norm p={p}"] = (problem.objective(), oracle)
+    return pairs
+
+
+SAMPLED_PAIRS = sampled_pairs()
+
+
 class TestValidityCheck:
+    """Remainder-bound validity by ball sampling, and its sample layout:
+    four blocks from the spec's generator (X, R, V, U, in that order),
+    ball points y_i = x_i + (R_i U_i^(1/d) / ||v_i||) v_i, and per sample
+    the evaluations grad f(x), f(x), L(x, R), f(y)."""
+
     def test_quartic_pair_clean(self):
         report = check_lfso_validity(
             QUARTIC.objective(), QUARTIC.lfso(),
@@ -67,8 +165,85 @@ class TestValidityCheck:
         second = check_lfso_validity(problem, oracle, spec)
         assert first.render() == second.render()
 
+    @pytest.mark.parametrize("label", sorted(SAMPLED_PAIRS))
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_matches_per_sample_reference(self, label, seed):
+        problem, oracle = SAMPLED_PAIRS[label]
+        spec = SampleSpec(num_points=300, seed=seed)
+        report = check_lfso_validity(problem, oracle, spec)
+        violations, worst_ratio = reference_validity(problem, oracle, spec)
+        assert report.violations == violations
+        assert report.stats["worst_ratio"] == worst_ratio
+
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_evaluation_order_and_ball(self, dim):
+        spec = SampleSpec(num_points=200, seed=5, r_range=(1e-3, 2.0))
+        problem, oracle, calls = recording_pair(
+            quadratic(dim), constant_lfso(ConstantLfsoParams(2.0)))
+        assert check_lfso_validity(problem, oracle, spec).violations == 0
+        rng = np.random.default_rng(spec.seed)
+        xs = rng.uniform(spec.x_box[0], spec.x_box[1], (spec.num_points, dim))
+        radii = rng.uniform(spec.r_range[0], spec.r_range[1], spec.num_points)
+        assert len(calls) == 4 * spec.num_points
+        eps = float(np.finfo(np.float64).eps)
+        for i in range(spec.num_points):
+            grad_x, f_x, l_x, f_y = calls[4 * i:4 * i + 4]
+            assert [c[0] for c in (grad_x, f_x, l_x, f_y)] == \
+                ["grad", "f", "L", "f"]
+            x = grad_x[1]
+            assert x.tobytes() == xs[i].tobytes()
+            assert f_x[1].tobytes() == l_x[1].tobytes() == x.tobytes()
+            assert l_x[2] == radii[i]
+            assert np.linalg.norm(f_y[1] - x) <= radii[i] * (1.0 + 4.0 * eps)
+
+    def test_zero_direction_replaced_by_ones(self, monkeypatch):
+        monkeypatch.setattr(verify.np.random, "default_rng", _ZeroFirstDirection)
+        d = 4
+        spec = SampleSpec(num_points=5, seed=3)
+        problem, oracle, calls = recording_pair(
+            quadratic(d), constant_lfso(ConstantLfsoParams(2.0)))
+        assert check_lfso_validity(problem, oracle, spec).violations == 0
+        rng = _DEFAULT_RNG(spec.seed)
+        x = rng.uniform(spec.x_box[0], spec.x_box[1], (spec.num_points, d))[0]
+        radius = rng.uniform(spec.r_range[0], spec.r_range[1], spec.num_points)[0]
+        rng.standard_normal((spec.num_points, d))
+        u = rng.uniform(size=spec.num_points)[0]
+        y = x + (float(radius) * float(u) ** (1.0 / d) / 2.0) * np.ones(d)
+        assert calls[3][1].tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_wrong_oracle_control_flagged(self, seed):
+        name, objective, _, _ = shipped_pairs()[1]
+        assert name == "quadratic+constant"
+        report = check_lfso_validity(objective,
+                                     constant_lfso(ConstantLfsoParams(1.0)),
+                                     SampleSpec(num_points=1000, seed=seed))
+        assert report.violations > 0
+        assert report.stats["worst_ratio"] > 1.5
+
+    def test_planted_undersized_constant_flagged(self):
+        # the remainder of |x|^2 is exactly |y - x|^2, so a constant 1.9
+        # against the true L = 2 undercuts it at every sample
+        report = check_lfso_validity(quadratic(10),
+                                     constant_lfso(ConstantLfsoParams(1.9)),
+                                     SampleSpec(num_points=1000, seed=0))
+        assert report.violations == 1000
+        assert report.stats["worst_ratio"] == pytest.approx(2.0 / 1.9)
+
 
 class TestMonotoneCheck:
+    def test_draws_match_per_sample_calls(self):
+        spec = SampleSpec(num_points=16, seed=9, x_box=(-1.5, 0.5))
+        dim = 7
+        problem, oracle, calls = recording_pair(
+            quadratic(dim), constant_lfso(ConstantLfsoParams(3.0)))
+        check_monotone_in_R(oracle, spec, dim, grid_size=3)
+        rng = np.random.default_rng(spec.seed)
+        expected = [rng.uniform(spec.x_box[0], spec.x_box[1], dim)
+                    for _ in range(spec.num_points)]
+        seen = [call[1] for call in calls[::3]]
+        assert [x.tobytes() for x in seen] == [x.tobytes() for x in expected]
+
     def test_constant_passes(self):
         oracle = constant_lfso(ConstantLfsoParams(3.0))
         report = check_monotone_in_R(oracle, SampleSpec(num_points=10, seed=3),
@@ -443,3 +618,17 @@ class TestSampleSpec:
             SampleSpec(x_box=(1.0, -1.0))
         with pytest.raises(ValueError):
             SampleSpec(r_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize("field", ["x_box", "r_range"])
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_endpoint_rejected(self, field, end, value):
+        bounds = list(getattr(SampleSpec(), field))
+        bounds[end] = value
+        with pytest.raises(ValueError, match=f"{field} endpoints must be finite"):
+            SampleSpec(**{field: tuple(bounds)})
+
+    @pytest.mark.parametrize("field", ["x_box", "r_range"])
+    def test_nan_endpoint_names_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            SampleSpec(**{field: (math.nan, 1.0)})

@@ -5,14 +5,14 @@ an executable verification suite."""
 from .core import (GradientOracle, IterationRecord, Lfso, RPolicy, RunTrace,
                    SolverConfig, Termination, Vector, as_vector,
                    euclidean_norm, run_fixed_gd, run_lfso_gd)
-from .errors import (AssumptionUnmetError, AssumptionWarning, GridEmptyError,
+from .errors import (AssumptionUnmetError, GridEmptyError,
                      InsufficientDataError, LfsoError, MissingDiagnosticsError,
                      NegativeCurvatureError, NoConvergenceWarning,
                      NonFiniteValueError, ShapeMismatchError, ZeroOracleError,
                      ZeroResidualError)
-from .oracles import (ConstantLfsoParams, HessianLipschitzLfsoParams,
-                      composition_lfso, constant_lfso, hessian_lipschitz_lfso,
-                      lp_regression_lfso, majorize_monotone)
+from .oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
+                      hessian_lipschitz_lfso, lp_regression_lfso,
+                      majorize_monotone)
 from .problems import (CompositionProblem, LpRegressionProblem,
                        QuarticProblem, condition_number, load_regression_data,
                        make_lp_regression, make_norm_power,

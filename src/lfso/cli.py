@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -36,7 +37,8 @@ TRACE_HEADER = "k,f,grad_norm,R,R_tilde,L,step_norm,grad_ratio"
 
 PROBLEMS = ("norm2-pow", "lp-norm", "quartic", "regression-file")
 
-# figure -> (problem, solver, eta, title); eta None takes fig1a's per-p stepsizes
+# figure -> (problem, solver, eta, title); eta None takes fig1a's per-p
+# stepsizes.  Every figure runs p in FIGURE_PS at d = 10 from x0 = ones.
 FIGURE_RUNS = {
     "fig1a": ("norm2-pow", "fixed", None,
               "fixed stepsize on f = |x|_2^2p (per-p stepsizes)"),
@@ -48,10 +50,7 @@ FIGURE_RUNS = {
               "oracle stepsizes on f = |x|_2p^2p (eta = 1)"),
 }
 FIGURES = tuple(FIGURE_RUNS)
-
-# Largest power-of-ten stepsize that keeps the fixed-step baseline stable
-# from x0 = ones(10) on f = ||x||_2^{2p}; overridable via fig1a_eta_p<p>.
-FIG1A_DEFAULT_ETAS = {1: 1e-1, 2: 1e-2, 3: 1e-3, 4: 1e-4, 5: 1e-5}
+FIGURE_PS = (1, 2, 3, 4, 5)
 
 
 class ConfigError(ValueError):
@@ -97,7 +96,7 @@ class ExperimentBundle:
     structured problem behind them (when there is one)."""
 
     objective: GradientOracle
-    lfso: Optional[Lfso]
+    lfso: Lfso
     r_policy: RPolicy
     x0: np.ndarray
     composition: Optional[CompositionProblem] = None
@@ -156,16 +155,38 @@ def config_from_sources(file_values: dict, cli_values: dict) -> ExperimentConfig
     return cfg
 
 
+def fig1a_eta(p: int, x0) -> float:
+    """The fig1a stepsize for f = ||x||_2^{2p} from ``x0``: the largest power
+    of ten strictly below 1 / (2p ||x0||_2^{2p-2}), found in exact arithmetic.
+
+    The gradient 2p ||x||_2^{2p-2} x is radial, so the fixed step scales x
+    by 1 - 2p eta ||x||_2^{2p-2}.  Below the bound that factor lies in
+    (0, 1) at x0, and stays there as ||x||_2 shrinks: the run approaches
+    the minimizer without reaching or crossing it.  At the bound itself the
+    first step lands exactly on the minimizer.
+    """
+    norm_sq = sum(Fraction(float(v)) ** 2 for v in x0)
+    bound = 1 / (2 * p * norm_sq ** (p - 1))
+    k = 0
+    while Fraction(10) ** k >= bound:
+        k -= 1
+    while Fraction(10) ** (k + 1) < bound:
+        k += 1
+    return float(Fraction(10) ** k)
+
+
 def _fig1a_etas(file_values: dict) -> dict:
-    etas = dict(FIG1A_DEFAULT_ETAS)
+    """fig1a's stepsize per p: the rule of :func:`fig1a_eta` from x0 = ones,
+    or a ``fig1a_eta_p<p>`` config key."""
+    etas = {p: fig1a_eta(p, np.ones(10)) for p in FIGURE_PS}
     for key, text in file_values.items():
         if not key.startswith("fig1a_eta_p"):
             raise ConfigError(f"unknown config key: {key} "
                               "(reproduce reads only fig1a_eta_p<p>)")
         p = _parse_scalar(key[len("fig1a_eta_p"):], int, key)
-        if p not in FIG1A_DEFAULT_ETAS:
+        if p not in FIGURE_PS:
             raise ConfigError(f"unknown config key: {key} "
-                              f"(fig1a runs p in {tuple(FIG1A_DEFAULT_ETAS)})")
+                              f"(fig1a runs p in {FIGURE_PS})")
         eta = _parse_scalar(text, float, key)
         if not (eta > 0 and math.isfinite(eta)):
             raise ConfigError(f"{key} must be positive and finite, got {eta}")
@@ -263,22 +284,6 @@ def write_trace_csv(path: str, trace: RunTrace) -> None:
             ratios[-1]))
 
 
-def read_trace_csv(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        columns = {name: [] for name in header.split(",")}
-        names = header.split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(names):
-                raise ValueError(f"{path}: malformed row {line!r}")
-            for name, tok in zip(names, parts):
-                columns[name].append(float(tok))
-    return columns
-
-
 def summarize_trace(trace: RunTrace, label: str) -> str:
     ratios = trace.grad_ratios()
     final_ratio = ratios[-1]
@@ -315,7 +320,7 @@ def cmd_run(args) -> int:
 def _figure_runs(figure: str, max_iters: int, etas_fig1a: dict):
     """Yield (p, config) pairs for one figure's five runs."""
     problem, solver, eta, _ = FIGURE_RUNS[figure]
-    for p in range(1, 6):
+    for p in FIGURE_PS:
         yield p, ExperimentConfig(
             problem=problem, solver=solver, p=p, d=10, max_iters=max_iters,
             eta=etas_fig1a[p] if eta is None else eta)
@@ -329,7 +334,7 @@ def reproduce_figure(figure: str, out_dir: str, max_iters: int = 10_000,
     """
     if figure not in FIGURES:
         raise ConfigError(f"figure must be one of {FIGURES}, got {figure!r}")
-    etas = etas_fig1a if etas_fig1a is not None else dict(FIG1A_DEFAULT_ETAS)
+    etas = etas_fig1a if etas_fig1a is not None else _fig1a_etas({})
     os.makedirs(out_dir, exist_ok=True)
     written = []
     curves = []

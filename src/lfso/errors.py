@@ -44,11 +44,7 @@ class AssumptionUnmetError(LfsoError):
 class NoConvergenceWarning(UserWarning):
     """An iterative estimate hit its iteration cap; best estimate returned.
 
-    Nothing in the package raises it now: the structure constants come from
-    a dense eigendecomposition, which has no cap.  Kept so that code which
-    filters or counts it keeps working.
+    Nothing in the package raises it: the structure constants come from a
+    dense eigendecomposition, which has no cap.  It stays only because
+    ``lfsobench/layers.py`` imports it.
     """
-
-
-class AssumptionWarning(UserWarning):
-    """Theory-mode problem fails the conditioning requirement."""

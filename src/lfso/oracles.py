@@ -45,7 +45,10 @@ def ipow(base, exponent: int):
 
 @dataclass(frozen=True)
 class ConstantLfsoParams:
-    """Global Lipschitz constant of the objective gradient."""
+    """Global Lipschitz constant of the objective gradient.
+
+    :func:`constant_lfso` takes it in place of ``l_f`` only because
+    ``lfsobench/test_refchecks.py`` builds one to wrap ``cli.constant_lfso``."""
 
     l_f: float
 
@@ -54,28 +57,19 @@ class ConstantLfsoParams:
             raise ValueError(f"l_f must be positive, got {self.l_f}")
 
 
-@dataclass(frozen=True)
-class HessianLipschitzLfsoParams:
-    """Pointwise Hessian norm plus a Lipschitz constant for the Hessian."""
-
-    hess_norm: Callable[[Vector], float]
-    l_h: float
-
-    def __post_init__(self) -> None:
-        if not (self.l_h >= 0 and np.isfinite(self.l_h)):
-            raise ValueError(f"l_h must be >= 0, got {self.l_h}")
-
-
 def constant_lfso(params: ConstantLfsoParams) -> Lfso:
     """Oracle for globally smooth objectives: L(x, R) = l_f everywhere."""
     l_f = float(params.l_f)
     return Lfso(eval=lambda x, r: l_f)
 
 
-def hessian_lipschitz_lfso(params: HessianLipschitzLfsoParams) -> Lfso:
-    """L(x, R) = ||hessian(x)|| + l_h * R; monotone in R by construction."""
-    hess_norm = params.hess_norm
-    l_h = float(params.l_h)
+def hessian_lipschitz_lfso(hess_norm: Callable[[Vector], float],
+                           l_h: float) -> Lfso:
+    """L(x, R) = ||hessian(x)|| + l_h * R, from a pointwise Hessian norm and
+    a Lipschitz constant of the Hessian; monotone in R by construction."""
+    if not (l_h >= 0 and np.isfinite(l_h)):
+        raise ValueError(f"l_h must be >= 0, got {l_h}")
+    l_h = float(l_h)
 
     def evaluate(x: Vector, r: float) -> float:
         h = float(hess_norm(x))

@@ -9,7 +9,6 @@ structure constants their oracles need, plus a scalar quartic toy problem.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .core import (GradientOracle, Lfso, Vector, as_vector, residual,
                    residual_inf)
-from .errors import AssumptionWarning, ShapeMismatchError, ZeroResidualError
+from .errors import ShapeMismatchError, ZeroResidualError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
 
 
@@ -142,7 +141,7 @@ def make_norm_power(d: int, p: int):
     return problem, composition_lfso(problem)
 
 
-def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
+def make_lp_regression(a: np.ndarray, b, p: int):
     """Problem f(x) = ||Ax - b||_{2p}^{2p} paired with its oracle.
 
     Structure constants (||A||_2, max row norm, condition number) are
@@ -151,9 +150,9 @@ def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
     residual ``Ax - b`` through :func:`lfso.core.residual`, so one iterate
     costs one product with A and one with A^T.  Both the cached constants
     and the shared residual assume that A and b do not change in place
-    while the problem is in use.  ``theory_mode`` warns if the conditioning
-    requirement for the Q-linear guarantee fails; the solver still runs
-    outside it.
+    while the problem is in use.  ``theory_ok`` on the problem says whether
+    the conditioning requirement for the Q-linear guarantee holds; the
+    solver runs either way.
     """
     a = np.asarray(a, dtype=np.float64)
     b = as_vector(b)
@@ -171,12 +170,6 @@ def make_lp_regression(a: np.ndarray, b, p: int, theory_mode: bool = False):
         max_row_norm=float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a)))),
         cond=cond,
     )
-    if theory_mode and not problem.theory_ok:
-        warnings.warn(
-            f"cond(A)^4 = {problem.cond ** 4:.6g} is not below "
-            f"n/(n-1) = {problem.n / max(problem.n - 1, 1):.6g}; "
-            "the Q-linear residual guarantee does not apply",
-            AssumptionWarning, stacklevel=2)
     return problem, lp_regression_lfso(problem)
 
 
@@ -199,13 +192,19 @@ def _spectral_constants(a: np.ndarray):
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """||A||_2, the largest singular value of A."""
+    """||A||_2, the largest singular value of A.
+
+    The package reads the cached ``LpRegressionProblem.spec_norm``; this
+    stays only because ``lfsobench/layers.py`` wraps it."""
     return _spectral_constants(a)[0]
 
 
 def condition_number(a: np.ndarray) -> float:
     """2-norm condition number sigma_max / sigma_min; inf for rank-deficient
-    (numerically singular) matrices."""
+    (numerically singular) matrices.
+
+    The package reads the cached ``LpRegressionProblem.cond``; this stays
+    only because ``lfsobench/layers.py`` wraps it."""
     return _spectral_constants(a)[1]
 
 

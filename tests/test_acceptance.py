@@ -11,7 +11,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 import numpy as np
 import pytest
 
-from lfso.cli import shipped_pairs
+from lfso.cli import fig1a_eta, reproduce_figure, shipped_pairs
 from lfso.core import (RPolicy, SolverConfig, euclidean_norm, run_fixed_gd,
                        run_lfso_gd)
 from lfso.oracles import ConstantLfsoParams, constant_lfso
@@ -282,3 +282,18 @@ def test_criterion_10_gradient_correctness():
             assert euclidean_norm(fd - g) <= 1e-6 * euclidean_norm(g), name
     print("[acceptance 10] central differences match analytic gradients to "
           "1e-6 at 10 random points per problem, p=1..5: PASS")
+
+
+def test_criterion_11_fig1a_stepsizes_keep_fixed_step_sublinear(tmp_path,
+                                                                capsys):
+    assert [fig1a_eta(p, np.ones(10)) for p in PS] == \
+        [1e-1, 1e-2, 1e-3, 1e-4, 1e-6]
+    reproduce_figure("fig1a", str(tmp_path))
+    rates = {}
+    for line in capsys.readouterr().out.splitlines():
+        fields = dict(word.split("=", 1) for word in line.split()[1:])
+        rates[int(fields["p"])] = fields["rate"]
+    for p in (2, 3, 4, 5):
+        assert rates[p] == "sublinear", f"fig1a p={p}: rate={rates[p]}"
+    print("[acceptance 11] fig1a stepsizes 1e-1 .. 1e-4, 1e-6 from the "
+          "stated rule; every fixed-step run with p >= 2 is sublinear: PASS")

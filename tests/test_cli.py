@@ -14,7 +14,20 @@ def run_cli(args):
 
 
 def read_csv(path):
-    return cli.read_trace_csv(str(path))
+    """A trace CSV as a dict of float columns keyed by the header names."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != cli.TRACE_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        names = header.split(",")
+        columns = {name: [] for name in names}
+        for line in fh:
+            parts = line.strip().split(",")
+            if len(parts) != len(names):
+                raise ValueError(f"{path}: malformed row {line!r}")
+            for name, tok in zip(names, parts):
+                columns[name].append(float(tok))
+    return columns
 
 
 class TestRunCommand:

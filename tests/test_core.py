@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfso
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
                        Termination, as_vector, euclidean_norm, run_fixed_gd,
                        run_lfso_gd)
@@ -494,3 +495,28 @@ class TestEuclideanNormFastPath:
     def test_any_finite_or_special_entries(self, entries):
         v = np.array(entries, dtype=np.float64)
         assert same_bits(euclidean_norm(v), reference_norm(v))
+
+
+def test_public_names_pinned():
+    # A name added to or dropped from the package's public surface shows up
+    # here.  The submodules are listed because importing them binds them in
+    # the package namespace.
+    assert sorted(lfso.__all__) == [
+        'AssumptionUnmetError', 'CheckReport', 'CompositionProblem',
+        'ConstantLfsoParams', 'GradientOracle', 'GridEmptyError',
+        'InsufficientDataError', 'IterationRecord', 'Lfso', 'LfsoError',
+        'LpRegressionProblem', 'MissingDiagnosticsError',
+        'NegativeCurvatureError', 'NoConvergenceWarning', 'NonFiniteValueError',
+        'QuarticProblem', 'RPolicy', 'RateFit', 'RunTrace', 'SampleSpec',
+        'ShapeMismatchError', 'SolverConfig', 'Termination', 'Vector',
+        'ZeroOracleError', 'ZeroResidualError', 'as_vector',
+        'check_composition_run', 'check_holder', 'check_lfso_validity',
+        'check_monotone_in_R', 'check_quartic_threshold',
+        'check_regression_qlinear', 'check_trace', 'classify_rate',
+        'composition_lfso', 'condition_number', 'constant_lfso', 'core',
+        'errors', 'euclidean_norm', 'fit_linear_rate', 'fit_powerlaw_rate',
+        'hessian_lipschitz_lfso', 'load_regression_data', 'lp_regression_lfso',
+        'majorize_monotone', 'make_lp_regression', 'make_norm_power',
+        'oracles', 'problems', 'quartic_containment_threshold',
+        'regression_constants', 'residual_iterate', 'run_fixed_gd',
+        'run_lfso_gd', 'spectral_norm', 'verify']

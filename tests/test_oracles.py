@@ -4,8 +4,7 @@ import pytest
 from lfso.core import GradientOracle, Lfso
 from lfso.errors import (GridEmptyError, NegativeCurvatureError,
                          NonFiniteValueError)
-from lfso.oracles import (ConstantLfsoParams, HessianLipschitzLfsoParams,
-                          composition_lfso, constant_lfso,
+from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
                           hessian_lipschitz_lfso, ipow, majorize_monotone)
 from lfso.problems import (QuarticProblem, make_lp_regression,
                            make_norm_power)
@@ -93,21 +92,21 @@ class TestConstantLfso:
         assert report.stats["worst_ratio"] == pytest.approx(1.0, abs=1e-6)
 
     def test_nonpositive_constant_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantLfsoParams(l_f=0.0)
+        for l_f in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="l_f must be positive"):
+                constant_lfso(ConstantLfsoParams(l_f=l_f))
 
 
 class TestHessianLipschitzLfso:
     def test_cubic_hand_value(self):
         # f(x) = x^3: |f''(x)| = |6x|, f'' is 6-Lipschitz
-        oracle = hessian_lipschitz_lfso(HessianLipschitzLfsoParams(
-            hess_norm=lambda x: abs(6.0 * float(x[0])), l_h=6.0))
+        oracle = hessian_lipschitz_lfso(
+            hess_norm=lambda x: abs(6.0 * float(x[0])), l_h=6.0)
         assert oracle.eval(np.array([1.0]), 0.5) == 9.0
         assert oracle.eval(np.array([1.0]), 0.0) == 6.0
 
     def test_zero_l_h_is_constant(self):
-        oracle = hessian_lipschitz_lfso(HessianLipschitzLfsoParams(
-            hess_norm=lambda x: 7.0, l_h=0.0))
+        oracle = hessian_lipschitz_lfso(hess_norm=lambda x: 7.0, l_h=0.0)
         assert oracle.eval(np.zeros(2), 0.1) == 7.0
         assert oracle.eval(np.ones(2), 100.0) == 7.0
 
@@ -115,17 +114,22 @@ class TestHessianLipschitzLfso:
         problem = GradientOracle(dim=1,
                                  eval=lambda x: float(x[0]) ** 3,
                                  grad=lambda x: np.array([3.0 * x[0] ** 2]))
-        oracle = hessian_lipschitz_lfso(HessianLipschitzLfsoParams(
-            hess_norm=lambda x: abs(6.0 * float(x[0])), l_h=6.0))
+        oracle = hessian_lipschitz_lfso(
+            hess_norm=lambda x: abs(6.0 * float(x[0])), l_h=6.0)
         report = check_lfso_validity(problem, oracle,
                                      SampleSpec(num_points=500, seed=2))
         assert report.violations == 0
 
     def test_non_finite_hessian_raises(self):
-        oracle = hessian_lipschitz_lfso(HessianLipschitzLfsoParams(
-            hess_norm=lambda x: float("nan"), l_h=1.0))
+        oracle = hessian_lipschitz_lfso(hess_norm=lambda x: float("nan"),
+                                        l_h=1.0)
         with pytest.raises(NonFiniteValueError):
             oracle.eval(np.zeros(1), 1.0)
+
+    @pytest.mark.parametrize("l_h", [-1.0, float("inf"), float("nan")])
+    def test_bad_l_h_rejected(self, l_h):
+        with pytest.raises(ValueError, match="l_h must be >= 0"):
+            hessian_lipschitz_lfso(lambda x: 1.0, l_h)
 
 
 class TestCompositionLfso:

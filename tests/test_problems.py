@@ -15,8 +15,7 @@ import pytest
 import lfso
 from lfso.core import (GradientOracle, RPolicy, SolverConfig, euclidean_norm,
                        inner_grad_norm, residual, residual_inf, run_lfso_gd)
-from lfso.errors import (AssumptionWarning, ShapeMismatchError,
-                         ZeroResidualError)
+from lfso.errors import ShapeMismatchError, ZeroResidualError
 from lfso.oracles import ipow
 from lfso.problems import (CompositionProblem, QuarticProblem, condition_number,
                            load_regression_data, make_lp_regression,
@@ -151,17 +150,10 @@ class TestLpRegression:
         assert problem.cond == pytest.approx(1.0, rel=1e-9)
         assert problem.theory_ok
 
-    def test_theory_mode_warns_on_bad_conditioning(self):
+    def test_bad_conditioning_fails_theory_ok(self):
         a = np.diag([3.0, 1.0, 1.0, 1.0])  # cond^4 = 81 >= 4/3
-        with pytest.warns(AssumptionWarning):
-            problem, _ = make_lp_regression(a, np.zeros(4), 2, theory_mode=True)
+        problem, _ = make_lp_regression(a, np.zeros(4), 2)
         assert not problem.theory_ok
-
-    def test_theory_mode_silent_when_ok(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_lp_regression(np.eye(5), np.zeros(5), 2, theory_mode=True)
 
 
 class TestSpectralNorm:

@@ -25,4 +25,22 @@ from .verify import (CheckReport, RateFit, SampleSpec, check_composition_run,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AssumptionUnmetError", "CheckReport", "CompositionProblem",
+    "ConstantLfsoParams", "GradientOracle", "GridEmptyError",
+    "InsufficientDataError", "IterationRecord", "Lfso", "LfsoError",
+    "LpRegressionProblem", "MissingDiagnosticsError",
+    "NegativeCurvatureError", "NoConvergenceWarning", "NonFiniteValueError",
+    "QuarticProblem", "RPolicy", "RateFit", "RunTrace", "SampleSpec",
+    "ShapeMismatchError", "SolverConfig", "Termination", "Vector",
+    "ZeroOracleError", "ZeroResidualError", "as_vector",
+    "check_composition_run", "check_holder", "check_lfso_validity",
+    "check_monotone_in_R", "check_quartic_threshold",
+    "check_regression_qlinear", "check_trace", "classify_rate",
+    "composition_lfso", "condition_number", "constant_lfso",
+    "euclidean_norm", "fit_linear_rate", "fit_powerlaw_rate",
+    "hessian_lipschitz_lfso", "load_regression_data", "lp_regression_lfso",
+    "majorize_monotone", "make_lp_regression", "make_norm_power",
+    "quartic_containment_threshold", "regression_constants",
+    "residual_iterate", "run_fixed_gd", "run_lfso_gd", "spectral_norm",
+]

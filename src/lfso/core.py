@@ -61,6 +61,37 @@ def euclidean_norm(v: Vector) -> float:
     return m * float(np.linalg.norm(v / m))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` of every row pair, each from the same dot kernel a
+    single ``u @ v`` of 1-D vectors uses (``matmul`` of a 1 x d row by its
+    d x 1 column)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def each_float(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
+    """``float(fn(t))`` for every entry ``t`` of a 1-D array, each passed as
+    a Python float: the row form of a scalar callable, bit for bit."""
+    return np.array([float(fn(t))
+                     for t in np.asarray(ts, dtype=np.float64).tolist()])
+
+
+def euclidean_norm_rows(v: np.ndarray) -> np.ndarray:
+    """:func:`euclidean_norm` of every row of a 2-D array, bit for bit.
+
+    Rows whose largest entry lies in the plain range take ``sqrt`` of
+    :func:`row_dots`, the kernel of ``v . v``; the others go through
+    :func:`euclidean_norm` one at a time.
+    """
+    m = np.abs(v).max(axis=1, initial=0.0)
+    plain = (m == 0.0) | ((m > 1e-140) & (m < 1e140))
+    if plain.all():
+        return np.sqrt(row_dots(v, v))
+    norms = np.empty(len(v))
+    norms[plain] = np.sqrt(row_dots(v[plain], v[plain]))
+    norms[~plain] = [euclidean_norm(row) for row in v[~plain]]
+    return norms
+
+
 class _IterateMemo:
     """Values derived from one iterate ``x`` and a few fixed operands,
     remembered for the last ``(operands, x)`` asked about.
@@ -151,20 +182,33 @@ def inner_grad_norm(grad_g: Callable[[Vector], Vector], x: Vector) -> float:
 @dataclass(frozen=True)
 class GradientOracle:
     """First-order access to an objective: values, gradients, and an
-    optional computable upper bound on the gradient norm."""
+    optional computable upper bound on the gradient norm.
+
+    ``eval_rows(X)`` and ``grad_rows(X)``, when given, evaluate every row of
+    a 2-D ``X`` at once: ``eval_rows(X)[i]`` and ``grad_rows(X)[i]`` must
+    equal ``eval(X[i])`` and ``grad(X[i])`` bit for bit.  The solver never
+    calls them; the sampling checks of :mod:`lfso.verify` do.
+    """
 
     dim: int
     eval: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     grad_norm_bound: Optional[Callable[[Vector], float]] = None
+    eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
 class Lfso:
     """Local smoothness oracle: ``eval(x, R)`` bounds the Taylor remainder
-    factor on ``B(x, R)`` and is non-decreasing in ``R``."""
+    factor on ``B(x, R)`` and is non-decreasing in ``R``.
+
+    ``eval_rows(X, R)``, when given, returns ``eval(X[i], R[i])`` for every
+    row of a 2-D ``X`` and entry of a 1-D ``R``, bit for bit.
+    """
 
     eval: Callable[[Vector, float], float]
+    eval_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Lfso, Vector, inner_grad_norm, residual_inf
+from .core import (Lfso, Vector, each_float, euclidean_norm_rows,
+                   inner_grad_norm, residual_inf)
 from .errors import (GridEmptyError, NegativeCurvatureError,
                      NonFiniteValueError)
 
@@ -60,7 +61,8 @@ class ConstantLfsoParams:
 def constant_lfso(params: ConstantLfsoParams) -> Lfso:
     """Oracle for globally smooth objectives: L(x, R) = l_f everywhere."""
     l_f = float(params.l_f)
-    return Lfso(eval=lambda x, r: l_f)
+    return Lfso(eval=lambda x, r: l_f,
+                eval_rows=lambda xs, radii: np.full(len(xs), l_f))
 
 
 def hessian_lipschitz_lfso(hess_norm: Callable[[Vector], float],
@@ -88,8 +90,12 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
         L(x, R) = h''(u) * w^2 + h'(u) * l_g.
 
     Monotone in R because h' and h'' are non-decreasing and h'' >= 0.
+
+    The oracle has a row form when the inner ``g`` has ``grad_rows``; it
+    calls ``h'`` and ``h''`` on each entry, as the scalar form does.
     """
-    grad_g = problem.g.grad
+    g = problem.g
+    grad_g = g.grad
     l_g = float(problem.l_g)
     mu_g = float(problem.mu_g)
     h_prime = problem.h_prime
@@ -109,7 +115,26 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
             raise NonFiniteValueError(f"composition oracle value is {value}")
         return value
 
-    return Lfso(eval=evaluate)
+    if g.grad_rows is None:
+        return Lfso(eval=evaluate)
+
+    def evaluate_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        w = l_g * radii + euclidean_norm_rows(g.grad_rows(xs))
+        v = w * w
+        u = v / (2.0 * mu_g)
+        hpp = each_float(h_double_prime, u)
+        negative = np.flatnonzero(hpp < 0.0)
+        if negative.size:
+            i = negative[0]
+            raise NegativeCurvatureError(
+                f"h'' evaluated negative ({hpp[i]}) at t={u[i]}; "
+                "the outer function must be convex")
+        values = hpp * v + each_float(h_prime, u) * l_g
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError("composition oracle value is not finite")
+        return values
+
+    return Lfso(eval=evaluate, eval_rows=evaluate_rows)
 
 
 def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
@@ -129,7 +154,8 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
     norm_a_sq = float(problem.spec_norm) ** 2
     if p == 1:
         const = 2.0 * norm_a_sq
-        return Lfso(eval=lambda x, r: const)
+        return Lfso(eval=lambda x, r: const,
+                    eval_rows=lambda xs, radii: np.full(len(xs), const))
     coef = 2 * p * (2 * p - 1) * norm_a_sq * float(2 ** (2 * p - 3))
     row_pow = ipow(float(problem.max_row_norm), 2 * p - 2)
 
@@ -140,7 +166,14 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
             raise NonFiniteValueError(f"regression oracle value is {value}")
         return value
 
-    return Lfso(eval=evaluate)
+    def evaluate_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        res_inf = np.abs(problem.residual_rows(xs)).max(axis=1)
+        values = coef * (ipow(res_inf, 2 * p - 2) + row_pow * ipow(radii, 2 * p - 2))
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError("regression oracle value is not finite")
+        return values
+
+    return Lfso(eval=evaluate, eval_rows=evaluate_rows)
 
 
 def majorize_monotone(raw: Callable[[Vector, float], float],

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (GradientOracle, Lfso, Vector, as_vector, residual,
-                   residual_inf)
+from .core import (GradientOracle, Lfso, Vector, as_vector, each_float,
+                   residual, residual_inf, row_dots)
 from .errors import ShapeMismatchError, ZeroResidualError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
 
@@ -23,7 +23,12 @@ from .oracles import composition_lfso, ipow, lp_regression_lfso
 @dataclass(frozen=True)
 class CompositionProblem:
     """f = h(g(x)) with g smooth (constant l_g) and gradient-dominated
-    (constant mu_g), h increasing and convex with non-decreasing h''."""
+    (constant mu_g), h increasing and convex with non-decreasing h''.
+
+    When ``g`` has row forms, the objective and
+    :func:`~lfso.oracles.composition_lfso` get them too, calling ``h``,
+    ``h_prime`` and ``h_double_prime`` on each entry.
+    """
 
     g: GradientOracle
     l_g: float
@@ -43,10 +48,15 @@ class CompositionProblem:
         g = self.g
         h = self.h
         h_prime = self.h_prime
+        rows = g.eval_rows is not None and g.grad_rows is not None
         return GradientOracle(
             dim=g.dim,
             eval=lambda x: float(h(float(g.eval(x)))),
             grad=lambda x: float(h_prime(float(g.eval(x)))) * g.grad(x),
+            eval_rows=(lambda xs: each_float(h, g.eval_rows(xs)))
+            if rows else None,
+            grad_rows=(lambda xs: each_float(h_prime, g.eval_rows(xs))[:, None]
+                       * g.grad_rows(xs)) if rows else None,
         )
 
 
@@ -83,6 +93,12 @@ class LpRegressionProblem:
         """``A x - b`` (read-only), shared through :func:`lfso.core.residual`."""
         return residual(self.a, self.b, x)
 
+    def residual_rows(self, xs: np.ndarray) -> np.ndarray:
+        """``A x - b`` for every row x of ``xs``.  Each product is the gemv
+        of a single ``A @ x``, so every row equals :meth:`residual` bit for
+        bit."""
+        return np.matmul(self.a, xs[:, :, None])[:, :, 0] - self.b
+
     def objective(self) -> GradientOracle:
         a, b, p = self.a, self.b, int(self.p)
         two_p = 2 * p
@@ -98,8 +114,16 @@ class LpRegressionProblem:
             res_inf = residual_inf(a, b, x)
             return bound_coef * ipow(res_inf, two_p - 1)
 
+        def value_rows(xs: np.ndarray) -> np.ndarray:
+            return ipow(self.residual_rows(xs), two_p).sum(axis=1)
+
+        def gradient_rows(xs: np.ndarray) -> np.ndarray:
+            powers = ipow(self.residual_rows(xs), two_p - 1)
+            return two_p * np.matmul(a.T, powers[:, :, None])[:, :, 0]
+
         return GradientOracle(dim=self.d, eval=value, grad=gradient,
-                              grad_norm_bound=grad_norm_bound)
+                              grad_norm_bound=grad_norm_bound,
+                              eval_rows=value_rows, grad_rows=gradient_rows)
 
 
 class QuarticProblem:
@@ -127,7 +151,9 @@ def make_norm_power(d: int, p: int):
     p = int(p)
     g = GradientOracle(dim=int(d),
                        eval=lambda x: float(x @ x),
-                       grad=lambda x: 2.0 * x)
+                       grad=lambda x: 2.0 * x,
+                       eval_rows=lambda xs: row_dots(xs, xs),
+                       grad_rows=lambda xs: 2.0 * xs)
     if p == 1:
         h_double_prime = lambda t: 0.0
     else:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Lfso, GradientOracle, RunTrace, euclidean_norm
+from .core import Lfso, GradientOracle, RunTrace, euclidean_norm, row_dots
 from .errors import (AssumptionUnmetError, InsufficientDataError,
                      MissingDiagnosticsError)
 from .problems import CompositionProblem, LpRegressionProblem
@@ -27,6 +27,12 @@ RATE_FLOOR = 1e-300
 # Size of the buffer that holds one column block of every stored iterate
 # in the Q-linear check.
 _QLINEAR_BLOCK_BYTES = 1 << 20
+
+# The sampling checks evaluate row forms where a pair supplies them, and
+# then also send every 17th sample, the first included, through the scalar
+# callables the solver calls (59 of 1000 validity samples, 2 of 32 monotone
+# samples); any bit difference is a violation.
+_CROSS_CHECK_STRIDE = 17
 
 
 @dataclass(frozen=True)
@@ -82,10 +88,50 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``a[i] @ a[i]`` of every row, each from the same dot kernel a single
-    ``v @ v`` uses (``matmul`` of a 1 x d row by its d x 1 column)."""
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+def _rows_differing(scalar: np.ndarray, rows: np.ndarray) -> int:
+    """How many rows of two float64 arrays differ in any bit (so 0.0
+    differs from -0.0, and a NaN equals the same NaN)."""
+    return int(np.count_nonzero(
+        (scalar.view(np.uint64) != rows.view(np.uint64)).any(axis=1)))
+
+
+def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
+                   picks: np.ndarray) -> np.ndarray:
+    """Row j holds grad f(x), f(x), L(x, R) and f(y) of sample ``picks[j]``
+    from the scalar callables, called in that order: every value at x
+    before the one at y, so the per-iterate memo of lfso.core serves x's
+    gradient, value and oracle from one entry."""
+    values = np.empty((len(picks), problem.dim + 3))
+    for row, i in zip(values, picks.tolist()):
+        x = xs[i]
+        row[:-3] = problem.grad(x)
+        row[-3] = problem.eval(x)
+        row[-2] = oracle.eval(x, radii[i])
+        row[-1] = problem.eval(ys[i])
+    return values
+
+
+def _validity_samples(spec: SampleSpec, d: int):
+    """The (X, R, Y) samples of :func:`check_lfso_validity`: n x d centres,
+    the n radii as a list and the n x d ball points."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.num_points
+    xs = rng.uniform(spec.x_box[0], spec.x_box[1], (n, d))
+    radii = rng.uniform(spec.r_range[0], spec.r_range[1], n).tolist()
+    dirs = rng.standard_normal((n, d))
+    shrinks = rng.uniform(size=n).tolist()
+    dir_sq = row_dots(dirs, dirs)
+    zero = dir_sq == 0.0
+    if zero.any():
+        dirs[zero] = 1.0
+        dir_sq[zero] = float(d)
+    inv_d = 1.0 / d
+    # U_i^(1/d) per sample in Python floats (C pow); numpy's vectorised
+    # power may round differently
+    scales = [radius * u ** inv_d / nv for radius, u, nv in
+              zip(radii, shrinks, np.sqrt(dir_sq).tolist())]
+    ys = xs + np.array(scales)[:, None] * dirs
+    return xs, radii, ys
 
 
 def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
@@ -102,44 +148,41 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
 
     Comparisons carry a 1e-10 relative slack plus an absolute floor sized
     to the float cancellation in evaluating the left side.
+
+    Each sample with y != x calls grad f(x), f(x), L(x, R) and f(y), in
+    that order.  When the objective has ``eval_rows`` and ``grad_rows`` and
+    the oracle has ``eval_rows``, the samples are evaluated as rows instead,
+    and a stride of them also through the scalar callables: each sample
+    whose values differ in any bit counts as a violation.
     """
-    rng = np.random.default_rng(spec.seed)
-    n, d = spec.num_points, problem.dim
-    xs = rng.uniform(spec.x_box[0], spec.x_box[1], (n, d))
-    radii = rng.uniform(spec.r_range[0], spec.r_range[1], n).tolist()
-    dirs = rng.standard_normal((n, d))
-    shrinks = rng.uniform(size=n).tolist()
-    dir_sq = _row_dots(dirs)
-    zero = dir_sq == 0.0
-    if zero.any():
-        dirs[zero] = 1.0
-        dir_sq[zero] = float(d)
-    inv_d = 1.0 / d
-    # U_i^(1/d) per sample in Python floats (C pow); numpy's vectorised
-    # power may round differently
-    scales =[radius * u ** inv_d / nv for radius, u, nv in
-              zip(radii, shrinks, np.sqrt(dir_sq).tolist())]
-    ys = xs + np.array(scales)[:, None] * dirs
+    xs, radii, ys = _validity_samples(spec, problem.dim)
     diffs = ys - xs
+    dist_sq = row_dots(diffs, diffs)
+    kept = dist_sq != 0.0
     violations = 0
-    worst_ratio = 0.0
+    if (problem.eval_rows is None or problem.grad_rows is None
+            or oracle.eval_rows is None):
+        values = _scalar_values(problem, oracle, xs, radii, ys,
+                                np.flatnonzero(kept))
+    else:
+        values = np.column_stack((
+            problem.grad_rows(xs), problem.eval_rows(xs),
+            oracle.eval_rows(xs, np.array(radii)),
+            problem.eval_rows(ys))).astype(np.float64, copy=False)
+        picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
+        violations = _rows_differing(
+            _scalar_values(problem, oracle, xs, radii, ys, picks), values[picks])
+        values = values[kept]
+    lin = row_dots(values[:, :-3], diffs[kept])
+    fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
+    dist_sq = dist_sq[kept]
+    rhs = 0.5 * lvals * dist_sq
+    lhs = np.abs(fy - fx - lin)
     eps = float(np.finfo(np.float64).eps)
-    for x, y, diff, radius, dist_sq in zip(xs, ys, diffs, radii,
-                                           _row_dots(diffs).tolist()):
-        if dist_sq == 0.0:
-            continue
-        # every value at x before the one at y, so the per-iterate memo of
-        # lfso.core serves x's gradient, value and oracle from one entry
-        lin = float(problem.grad(x) @ diff)
-        fx = float(problem.eval(x))
-        rhs = 0.5 * float(oracle.eval(x, radius)) * dist_sq
-        fy = float(problem.eval(y))
-        lhs = abs(fy - fx - lin)
-        noise = 8.0 * eps * (abs(fx) + abs(fy) + abs(lin)) + 1e-300
-        ratio = lhs / (rhs + noise)
-        worst_ratio = max(worst_ratio, ratio)
-        if lhs > rhs * (1.0 + 1e-10) + noise:
-            violations += 1
+    noise = 8.0 * eps * (np.abs(fx) + np.abs(fy) + np.abs(lin)) + 1e-300
+    # like a running max(worst, ratio) from 0.0, a NaN ratio is never the worst
+    worst_ratio = float(np.fmax.reduce(lhs / (rhs + noise), initial=0.0))
+    violations += int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10) + noise))
     return CheckReport(name=name, violations=violations, stats={
         "generator": GENERATOR_ID,
         "seed": spec.seed,
@@ -152,18 +195,34 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
                         grid_size: int = 12,
                         name: str = "monotone-in-R") -> CheckReport:
     """On sampled x and an increasing radius grid, require
-    L(x, R_i) <= L(x, R_{i+1}) * (1 + 1e-14)."""
+    L(x, R_i) <= L(x, R_{i+1}) * (1 + 1e-14).
+
+    An oracle with ``eval_rows`` is evaluated at all samples per grid
+    radius, and a stride of the samples is also evaluated through
+    ``oracle.eval``; each sample whose values differ in any bit counts as
+    a violation."""
     rng = np.random.default_rng(spec.seed)
     low, high = spec.x_box
-    grid = np.geomspace(spec.r_range[0], spec.r_range[1], grid_size)
+    grid = np.geomspace(spec.r_range[0], spec.r_range[1], grid_size).tolist()
+    xs = rng.uniform(low, high, (spec.num_points, dim))
+
+    def scalar_values(points):
+        return np.array([[oracle.eval(x, r) for r in grid] for x in points],
+                        dtype=np.float64)
+
     violations = 0
-    worst_drop = 0.0
-    for x in rng.uniform(low, high, (spec.num_points, dim)):
-        values = [float(oracle.eval(x, float(r))) for r in grid]
-        for lo_val, hi_val in zip(values, values[1:]):
-            if lo_val > hi_val * (1.0 + 1e-14):
-                violations += 1
-                worst_drop = max(worst_drop, lo_val - hi_val)
+    if oracle.eval_rows is None:
+        values = scalar_values(xs)
+    else:
+        values = np.column_stack([
+            oracle.eval_rows(xs, np.full(len(xs), r))
+            for r in grid]).astype(np.float64, copy=False)
+        picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
+        violations = _rows_differing(scalar_values(xs[picks]), values[picks])
+    lo_vals, hi_vals = values[:, :-1], values[:, 1:]
+    drops = lo_vals > hi_vals * (1.0 + 1e-14)
+    violations += int(np.count_nonzero(drops))
+    worst_drop = float(np.max(lo_vals[drops] - hi_vals[drops], initial=0.0))
     return CheckReport(name=name, violations=violations, stats={
         "generator": GENERATOR_ID,
         "seed": spec.seed,
@@ -388,8 +447,10 @@ def _fit_tail(values: Sequence[float], window_fraction: float,
 def classify_rate(values: Sequence[float],
                   window_fraction: float = 0.5) -> str:
     """Label a decay sequence: "exact" if it dies within two recorded
-    values, "linear" if the tail log-linear fit has R^2 >= 0.99 and beats
-    the power-law fit, "sublinear" if the power-law fit wins."""
+    values, "linear" if the tail log-linear fit has R^2 >= 0.99, beats the
+    power-law fit and falls, "sublinear" if the power-law fit wins and
+    falls.  A tail that does not fall (constant or growing) is
+    "indeterminate"."""
     _, _, n = _window(values, window_fraction)
     if n <= 2:
         return "exact"
@@ -398,9 +459,10 @@ def classify_rate(values: Sequence[float],
         power = fit_powerlaw_rate(values, window_fraction)
     except InsufficientDataError:
         return "indeterminate"
-    if lin.r_squared >= 0.99 and lin.r_squared >= power.r_squared:
+    if (lin.r_squared >= 0.99 and lin.r_squared >= power.r_squared
+            and lin.slope < 0.0):
         return "linear"
-    if power.r_squared > lin.r_squared:
+    if power.r_squared > lin.r_squared and power.slope < 0.0:
         return "sublinear"
     return "indeterminate"
 

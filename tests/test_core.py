@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import lfso
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
-                       Termination, as_vector, euclidean_norm, run_fixed_gd,
-                       run_lfso_gd)
+                       Termination, as_vector, euclidean_norm,
+                       euclidean_norm_rows, run_fixed_gd, run_lfso_gd)
 from lfso.errors import (NonFiniteValueError, ShapeMismatchError,
                          ZeroOracleError)
 from lfso.problems import QuarticProblem, make_lp_regression, make_norm_power
@@ -489,6 +489,27 @@ class TestEuclideanNormFastPath:
         for v in cases:
             assert same_bits(euclidean_norm(v), reference_norm(v)), v[:3]
 
+    @pytest.mark.parametrize("d", [1, 10, 300])
+    def test_row_form_matches_per_row(self, d):
+        # rows at every scale, both sides of the rescaling range, plus
+        # zero, subnormal, inf and NaN rows
+        rng = np.random.default_rng(d + 2)
+        rows = []
+        for scale in self.SCALES:
+            u = rng.normal(size=(3, d))
+            rows.extend(u / np.abs(u).max(axis=1, keepdims=True) * scale)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        rows += [np.zeros(d), np.full(d, -0.0), np.full(d, tiny)]
+        for special in (np.inf, -np.inf, np.nan):
+            v = rng.normal(size=d)
+            v[rng.integers(d)] = special
+            rows.append(v)
+        vs = np.array(rows)
+        # the rows at scale 1 alone take the all-plain path
+        for block in (vs, vs[np.abs(vs).max(axis=1) == 1.0]):
+            for v, norm in zip(block, euclidean_norm_rows(block).tolist()):
+                assert same_bits(norm, euclidean_norm(v)), v[:3]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
                     min_size=1, max_size=12))
@@ -499,8 +520,7 @@ class TestEuclideanNormFastPath:
 
 def test_public_names_pinned():
     # A name added to or dropped from the package's public surface shows up
-    # here.  The submodules are listed because importing them binds them in
-    # the package namespace.
+    # here; the submodules that importing binds in the package stay out.
     assert sorted(lfso.__all__) == [
         'AssumptionUnmetError', 'CheckReport', 'CompositionProblem',
         'ConstantLfsoParams', 'GradientOracle', 'GridEmptyError',
@@ -513,10 +533,10 @@ def test_public_names_pinned():
         'check_composition_run', 'check_holder', 'check_lfso_validity',
         'check_monotone_in_R', 'check_quartic_threshold',
         'check_regression_qlinear', 'check_trace', 'classify_rate',
-        'composition_lfso', 'condition_number', 'constant_lfso', 'core',
-        'errors', 'euclidean_norm', 'fit_linear_rate', 'fit_powerlaw_rate',
+        'composition_lfso', 'condition_number', 'constant_lfso',
+        'euclidean_norm', 'fit_linear_rate', 'fit_powerlaw_rate',
         'hessian_lipschitz_lfso', 'load_regression_data', 'lp_regression_lfso',
         'majorize_monotone', 'make_lp_regression', 'make_norm_power',
-        'oracles', 'problems', 'quartic_containment_threshold',
+        'quartic_containment_threshold',
         'regression_constants', 'residual_iterate', 'run_fixed_gd',
-        'run_lfso_gd', 'spectral_norm', 'verify']
+        'run_lfso_gd', 'spectral_norm']

@@ -14,13 +14,17 @@ import pytest
 
 import lfso
 from lfso.core import (GradientOracle, RPolicy, SolverConfig, euclidean_norm,
-                       inner_grad_norm, residual, residual_inf, run_lfso_gd)
-from lfso.errors import ShapeMismatchError, ZeroResidualError
-from lfso.oracles import ipow
+                       inner_grad_norm, residual, residual_inf, row_dots,
+                       run_lfso_gd)
+from lfso.errors import (NegativeCurvatureError, ShapeMismatchError,
+                         ZeroResidualError)
+from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
+                          ipow)
 from lfso.problems import (CompositionProblem, QuarticProblem, condition_number,
                            load_regression_data, make_lp_regression,
                            make_norm_power, regression_constants,
                            residual_iterate, spectral_norm)
+from lfso.verify import SampleSpec, _validity_samples
 
 
 def central_diff_grad(f, x, h=6e-6):
@@ -299,6 +303,99 @@ class TestQuarticProblem:
         oracle = QuarticProblem().lfso()
         assert oracle.eval(np.array([1.0]), 0.1) == pytest.approx(24.24)
         assert oracle.eval(np.array([0.0]), 0.0) == 0.0
+
+
+def squared_norm(d, rows=True):
+    """g(x) = ||x||^2, with its row forms unless ``rows`` is false."""
+    return GradientOracle(
+        dim=d, eval=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
+        eval_rows=(lambda xs: row_dots(xs, xs)) if rows else None,
+        grad_rows=(lambda xs: 2.0 * xs) if rows else None)
+
+
+def row_form_families():
+    """{label: (objective, oracle, scale)} for every family that supplies
+    row forms.  ``scale`` is the largest factor by which the sampled rows
+    can be blown up before a value overflows."""
+    quadratic, _ = make_norm_power(10, 1)
+    families = {
+        "quadratic+constant": (quadratic.objective(),
+                               constant_lfso(ConstantLfsoParams(2.0)), 1e141),
+    }
+    # a user's scalar h, called on each entry by the row forms
+    exp_problem = CompositionProblem(g=squared_norm(3), l_g=2.0, mu_g=2.0,
+                                     h=math.exp, h_prime=math.exp,
+                                     h_double_prime=math.exp)
+    families["user exp composition"] = (exp_problem.objective(),
+                                        composition_lfso(exp_problem), 1.0)
+    # more rows than the 128-entry block of numpy's pairwise sum, and not I
+    rng = np.random.default_rng(2311)
+    a_general, b_general = rng.standard_normal((150, 10)), rng.standard_normal(150)
+    for p in range(1, 6):
+        scale = 1e141 if p == 1 else 1.0
+        problem, oracle = make_norm_power(10, p)
+        families[f"norm2-pow p={p}"] = (problem.objective(), oracle, scale)
+        for label, a, b in (("lp-norm", np.eye(10), np.zeros(10)),
+                            ("lp-regression 150x10", a_general, b_general)):
+            problem, oracle = make_lp_regression(a, b, p)
+            families[f"{label} p={p}"] = (problem.objective(), oracle, scale)
+    return families
+
+
+ROW_FORM_FAMILIES = row_form_families()
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestRowForms:
+    """Each row form equals its scalar callable bit for bit: f(x), grad f(x),
+    L(x, R) and f(y) on the validity check's full sample draws."""
+
+    @pytest.mark.parametrize("label", sorted(ROW_FORM_FAMILIES))
+    def test_rows_equal_scalar_calls(self, label):
+        objective, oracle, scale = ROW_FORM_FAMILIES[label]
+        for seed in (0, 7, 42, 99, 123456):
+            xs, radii, ys = _validity_samples(
+                SampleSpec(num_points=1000, seed=seed), objective.dim)
+            radii = np.array(radii)
+            # rows and radii below the plain range of euclidean_norm, and
+            # above it where the values stay finite
+            factors = (1e-150, scale) if scale > 1.0 else (1e-150,)
+            xs = np.vstack([xs] + [f * xs[:50] for f in factors])
+            ys = np.vstack([ys] + [f * ys[:50] for f in factors])
+            radii = np.concatenate([radii] + [f * radii[:50] for f in factors])
+            grads = objective.grad_rows(xs)
+            fx = objective.eval_rows(xs)
+            lvals = oracle.eval_rows(xs, radii)
+            fy = objective.eval_rows(ys)
+            for i, (x, y, r) in enumerate(zip(xs, ys, radii.tolist())):
+                assert bits(grads[i]) == bits(objective.grad(x)), (seed, i)
+                assert bits(fx[i]) == bits(objective.eval(x)), (seed, i)
+                assert bits(lvals[i]) == bits(oracle.eval(x, r)), (seed, i)
+                assert bits(fy[i]) == bits(objective.eval(y)), (seed, i)
+
+    def test_composition_without_inner_rows_keeps_scalar_path(self):
+        problem = CompositionProblem(g=squared_norm(3, rows=False), l_g=2.0,
+                                     mu_g=2.0, h=math.exp, h_prime=math.exp,
+                                     h_double_prime=math.exp)
+        objective = problem.objective()
+        assert objective.eval_rows is None and objective.grad_rows is None
+        assert composition_lfso(problem).eval_rows is None
+
+    def test_negative_curvature_raises_as_scalar_form_does(self):
+        problem = CompositionProblem(g=squared_norm(3), l_g=2.0, mu_g=2.0,
+                                     h=math.exp, h_prime=math.exp,
+                                     h_double_prime=lambda t: 1.0 - t)
+        oracle = composition_lfso(problem)
+        # row 0 keeps h'' >= 0; rows 1 and 2 are the first to go negative
+        xs = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
+        with pytest.raises(NegativeCurvatureError) as scalar:
+            oracle.eval(xs[1], 0.0)
+        with pytest.raises(NegativeCurvatureError) as rows:
+            oracle.eval_rows(xs, np.zeros(3))
+        assert str(rows.value) == str(scalar.value)
 
 
 class TestRegressionDataFile:

@@ -231,6 +231,92 @@ class TestValidityCheck:
         assert report.stats["worst_ratio"] == pytest.approx(2.0 / 1.9)
 
 
+def scalar_only(objective, oracle):
+    """The pair rebuilt from its scalar fields alone, as a tracer that wraps
+    each callable rebuilds it."""
+    return (GradientOracle(dim=objective.dim, eval=objective.eval,
+                           grad=objective.grad,
+                           grad_norm_bound=objective.grad_norm_bound),
+            Lfso(eval=oracle.eval))
+
+
+def suite_pairs():
+    """{name: (objective, oracle)} of the suite's validity blocks, the
+    wrong-oracle control included."""
+    pairs = {name: (objective, oracle)
+             for name, objective, oracle, _ in shipped_pairs()}
+    pairs["CONTROL wrong-oracle"] = (pairs["quadratic+constant"][0],
+                                     constant_lfso(ConstantLfsoParams(1.0)))
+    return pairs
+
+
+SUITE_PAIRS = suite_pairs()
+
+
+def one_ulp_low_at_first_sample(oracle):
+    """``oracle`` with a row form one ulp below ``oracle.eval`` at row 0,
+    a sample the checks also evaluate through the scalar callables."""
+    def eval_rows(xs, radii):
+        values = oracle.eval_rows(xs, radii)
+        values[0] = np.nextafter(values[0], -np.inf)
+        return values
+    return Lfso(eval=oracle.eval, eval_rows=eval_rows)
+
+
+class TestRowFormEquivalence:
+    """The row forms change no report: with them and without them, the
+    validity and monotone blocks render identically."""
+
+    def test_only_quartic_takes_scalar_path(self):
+        assert [name for name, (objective, oracle) in SUITE_PAIRS.items()
+                if None in (objective.eval_rows, objective.grad_rows,
+                            oracle.eval_rows)] == ["quartic"]
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PAIRS))
+    @pytest.mark.parametrize("seed", [0, 123456])
+    def test_same_report_without_row_forms(self, name, seed):
+        objective, oracle = SUITE_PAIRS[name]
+        bare_objective, bare_oracle = scalar_only(objective, oracle)
+        spec = SampleSpec(num_points=1000, seed=seed)
+        assert (check_lfso_validity(objective, oracle, spec, name).render()
+                == check_lfso_validity(bare_objective, bare_oracle, spec,
+                                       name).render())
+        spec = SampleSpec(num_points=32, seed=seed)
+        assert (check_monotone_in_R(oracle, spec, objective.dim).render()
+                == check_monotone_in_R(bare_oracle, spec,
+                                       objective.dim).render())
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_row_values_compare_as_float64(self, dtype):
+        # the scalar form returns the int 2; row values of 2 as int64 or
+        # float32 agree with it once both are stored as float64
+        objective = SUITE_PAIRS["quadratic+constant"][0]
+        oracle = Lfso(eval=lambda x, r: 2,
+                      eval_rows=lambda xs, radii: np.full(len(xs), 2,
+                                                          dtype=dtype))
+        bare_objective, bare_oracle = scalar_only(objective, oracle)
+        spec = SampleSpec(num_points=1000, seed=0)
+        report = check_lfso_validity(objective, oracle, spec)
+        assert report.violations == 0
+        assert report.render() == check_lfso_validity(
+            bare_objective, bare_oracle, spec).render()
+        spec = SampleSpec(num_points=32, seed=0)
+        report = check_monotone_in_R(oracle, spec, objective.dim)
+        assert report.violations == 0
+        assert report.render() == check_monotone_in_R(
+            bare_oracle, spec, objective.dim).render()
+
+    def test_row_one_ulp_off_is_a_violation(self):
+        objective, oracle = SUITE_PAIRS["norm2-pow p=3"]
+        planted = one_ulp_low_at_first_sample(oracle)
+        spec = SampleSpec(num_points=1000, seed=0)
+        assert check_lfso_validity(objective, oracle, spec).violations == 0
+        assert check_lfso_validity(objective, planted, spec).violations == 1
+        spec = SampleSpec(num_points=32, seed=0)
+        assert check_monotone_in_R(oracle, spec, 10).violations == 0
+        assert check_monotone_in_R(planted, spec, 10).violations == 1
+
+
 class TestMonotoneCheck:
     def test_draws_match_per_sample_calls(self):
         spec = SampleSpec(num_points=16, seed=9, x_box=(-1.5, 0.5))
@@ -457,6 +543,9 @@ class TestRateFitting:
         assert classify_rate([1.0 / (k + 1) for k in range(2000)],
                              window_fraction=1.0) == "sublinear"
         assert classify_rate([1.0, 0.0]) == "exact"
+        # a tail that does not fall fits a line too, with slope >= 0
+        assert classify_rate([1.0] * 50) == "indeterminate"
+        assert classify_rate([1.1 ** k for k in range(50)]) == "indeterminate"
 
     def test_norm_power_run_slope_matches_recursion(self):
         problem, oracle = make_norm_power(10, 2)

@@ -8,8 +8,8 @@ from .core import (GradientOracle, IterationRecord, Lfso, RPolicy, RunTrace,
 from .errors import (AssumptionUnmetError, GridEmptyError,
                      InsufficientDataError, LfsoError, MissingDiagnosticsError,
                      NegativeCurvatureError, NoConvergenceWarning,
-                     NonFiniteValueError, ShapeMismatchError, ZeroOracleError,
-                     ZeroResidualError)
+                     NonFiniteValueError, RadiusAboveGridError,
+                     ShapeMismatchError, ZeroOracleError, ZeroResidualError)
 from .oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
                       hessian_lipschitz_lfso, lp_regression_lfso,
                       majorize_monotone)
@@ -31,9 +31,10 @@ __all__ = [
     "InsufficientDataError", "IterationRecord", "Lfso", "LfsoError",
     "LpRegressionProblem", "MissingDiagnosticsError",
     "NegativeCurvatureError", "NoConvergenceWarning", "NonFiniteValueError",
-    "QuarticProblem", "RPolicy", "RateFit", "RunTrace", "SampleSpec",
-    "ShapeMismatchError", "SolverConfig", "Termination", "Vector",
-    "ZeroOracleError", "ZeroResidualError", "as_vector",
+    "QuarticProblem", "RPolicy", "RadiusAboveGridError", "RateFit",
+    "RunTrace", "SampleSpec", "ShapeMismatchError", "SolverConfig",
+    "Termination", "Vector", "ZeroOracleError", "ZeroResidualError",
+    "as_vector",
     "check_composition_run", "check_holder", "check_lfso_validity",
     "check_monotone_in_R", "check_quartic_threshold",
     "check_regression_qlinear", "check_trace", "classify_rate",

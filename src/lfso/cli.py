@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, get_args, get_type_hints
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import _svg
 from .core import (GradientOracle, Lfso, RPolicy, RunTrace, SolverConfig,
                    run_fixed_gd, run_lfso_gd)
-from .errors import AssumptionUnmetError, LfsoError
+from .errors import LfsoError
 from .oracles import ConstantLfsoParams, constant_lfso
 from .problems import (CompositionProblem, LpRegressionProblem,
                        QuarticProblem, load_regression_data,
@@ -110,8 +110,10 @@ def _parse_scalar(text: str, caster, key: str):
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 
 
-def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment; blank lines skipped."""
+def parse_config_file(path: str, casts: dict) -> dict:
+    """Read ``key = value`` lines into ``{key: casts[key](value)}``; '#'
+    starts a comment and blank lines are skipped.  ``casts`` holds the keys
+    of one subcommand; any other key is an error."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -121,8 +123,11 @@ def parse_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, _, text = line.partition("=")
+                key = key.strip()
+                if key not in casts:
+                    raise ConfigError(f"unknown config key: {key}")
+                values[key] = _parse_scalar(text.strip(), casts[key], key)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -134,25 +139,10 @@ def _field_type(hint):
     return args[0] if args else hint
 
 
-_CONFIG_CASTS = {key: _field_type(hint)
-                 for key, hint in get_type_hints(ExperimentConfig).items()}
-
-
-def config_from_sources(file_values: dict, cli_values: dict) -> ExperimentConfig:
-    """Build a config: defaults, then config-file keys, then CLI flags."""
-    cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key, text in file_values.items():
-        if key.startswith("fig1a_eta_p"):
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown config key: {key}")
-        setattr(cfg, key, _parse_scalar(text, _CONFIG_CASTS[key], key))
-    for key, value in cli_values.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+# The config keys of each subcommand, with the type each value is read as.
+_RUN_KEYS = {key: _field_type(hint)
+             for key, hint in get_type_hints(ExperimentConfig).items()}
+_REPRODUCE_KEYS = {f"fig1a_eta_p{p}": float for p in FIGURE_PS}
 
 
 def fig1a_eta(p: int, x0) -> float:
@@ -175,19 +165,13 @@ def fig1a_eta(p: int, x0) -> float:
     return float(Fraction(10) ** k)
 
 
-def _fig1a_etas(file_values: dict) -> dict:
-    """fig1a's stepsize per p: the rule of :func:`fig1a_eta` from x0 = ones,
-    or a ``fig1a_eta_p<p>`` config key."""
-    etas = {p: fig1a_eta(p, np.ones(10)) for p in FIGURE_PS}
-    for key, text in file_values.items():
-        if not key.startswith("fig1a_eta_p"):
-            raise ConfigError(f"unknown config key: {key} "
-                              "(reproduce reads only fig1a_eta_p<p>)")
-        p = _parse_scalar(key[len("fig1a_eta_p"):], int, key)
-        if p not in FIGURE_PS:
-            raise ConfigError(f"unknown config key: {key} "
-                              f"(fig1a runs p in {FIGURE_PS})")
-        eta = _parse_scalar(text, float, key)
+def _fig1a_etas(values: dict) -> dict:
+    """fig1a's stepsize per p: the ``fig1a_eta_p<p>`` config value, else the
+    rule of :func:`fig1a_eta` from x0 = ones."""
+    etas = {}
+    for p in FIGURE_PS:
+        key = f"fig1a_eta_p{p}"
+        eta = values[key] if key in values else fig1a_eta(p, np.ones(10))
         if not (eta > 0 and math.isfinite(eta)):
             raise ConfigError(f"{key} must be positive and finite, got {eta}")
         etas[p] = eta
@@ -303,9 +287,11 @@ def summarize_trace(trace: RunTrace, label: str) -> str:
 
 
 def cmd_run(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {key: getattr(args, key) for key in _CONFIG_CASTS}
-    cfg = config_from_sources(file_values, cli_values)
+    values = parse_config_file(args.config, _RUN_KEYS) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _RUN_KEYS
+                  if getattr(args, key) is not None)
+    cfg = ExperimentConfig(**values)
+    cfg.validate()
     bundle = build_experiment(cfg)
     trace = execute(cfg, bundle)
     write_trace_csv(cfg.out_path, trace)
@@ -355,8 +341,8 @@ def reproduce_figure(figure: str, out_dir: str, max_iters: int = 10_000,
 
 
 def cmd_reproduce(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    etas = _fig1a_etas(file_values)
+    etas = _fig1a_etas(parse_config_file(args.config, _REPRODUCE_KEYS)
+                       if args.config else {})
     figures = FIGURES if args.figure == "all" else (args.figure,)
     for figure in figures:
         written = reproduce_figure(figure, args.out_dir,
@@ -366,21 +352,33 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def shipped_pairs():
-    """Every (name, objective, oracle, dim) pair the suite verifies."""
-    pairs = []
-    quartic = QuarticProblem()
-    pairs.append(("quartic", quartic.objective(), quartic.lfso(), 1))
-    quad_problem, _ = make_norm_power(10, 1)
-    pairs.append(("quadratic+constant", quad_problem.objective(),
-                  constant_lfso(ConstantLfsoParams(l_f=2.0)), 10))
-    for p in range(1, 6):
-        problem, lfso = make_norm_power(10, p)
-        pairs.append((f"norm2-pow p={p}", problem.objective(), lfso, 10))
-    for p in range(1, 6):
-        problem, lfso = make_lp_regression(np.eye(10), np.zeros(10), p)
-        pairs.append((f"lp-norm p={p}", problem.objective(), lfso, 10))
-    return pairs
+# The verify suite's solver runs.  Their builds also supply the pairs the
+# validity and monotone checks sample.
+SUITE_RUNS = (*(ExperimentConfig(problem=problem, p=p, max_iters=500)
+                for problem in ("norm2-pow", "lp-norm") for p in range(1, 6)),
+              ExperimentConfig(problem="quartic", max_iters=200))
+
+
+def _suite_label(cfg: ExperimentConfig) -> str:
+    return cfg.problem + ("" if cfg.problem == "quartic" else f" p={cfg.p}")
+
+
+def shipped_pairs(bundles: Optional[list] = None):
+    """Every (name, objective, oracle) pair the suite verifies, taken from
+    ``bundles``, the builds of :data:`SUITE_RUNS` (built here if not given).
+    ``quadratic+constant`` pairs the objective of ``norm2-pow p=1`` with the
+    constant oracle ``L = 2``."""
+    if bundles is None:
+        bundles = [build_experiment(cfg) for cfg in SUITE_RUNS]
+    named = {_suite_label(cfg): bundle
+             for cfg, bundle in zip(SUITE_RUNS, bundles)}
+    quartic = named.pop("quartic")
+    quadratic = named["norm2-pow p=1"].objective
+    return ([("quartic", quartic.objective, quartic.lfso),
+             ("quadratic+constant", quadratic,
+              constant_lfso(ConstantLfsoParams(l_f=2.0)))]
+            + [(name, bundle.objective, bundle.lfso)
+               for name, bundle in named.items()])
 
 
 def verify_all(seed: int, include_controls: bool = False,
@@ -403,28 +401,25 @@ def verify_all(seed: int, include_controls: bool = False,
         seconds[report.name] = time.perf_counter() - start
         reports.append(report)
 
-    pairs = shipped_pairs()
+    bundles = [build_experiment(cfg) for cfg in SUITE_RUNS]
+    pairs = shipped_pairs(bundles)
     spec = checks.SampleSpec(num_points=1000, seed=seed)
-    for name, objective, lfso, dim in pairs:
+    for name, objective, lfso in pairs:
         timed(checks.check_lfso_validity, objective, lfso, spec,
               name=f"lfso-validity {name}")
         timed(checks.check_monotone_in_R, lfso,
-              checks.SampleSpec(num_points=32, seed=seed), dim,
+              checks.SampleSpec(num_points=32, seed=seed), objective.dim,
               name=f"monotone-in-R {name}")
 
-    runs = [ExperimentConfig(problem=problem, p=p, max_iters=500)
-            for problem in ("norm2-pow", "lp-norm") for p in range(1, 6)]
-    runs.append(ExperimentConfig(problem="quartic", max_iters=200))
-    for cfg in runs:
-        bundle = build_experiment(cfg)
+    for cfg, bundle in zip(SUITE_RUNS, bundles):
         trace = execute(cfg, bundle, keep_iterates=True)
-        label = cfg.problem + ("" if cfg.problem == "quartic" else f" p={cfg.p}")
+        label = _suite_label(cfg)
         timed(checks.check_trace, trace, cfg.eta, name=f"trace {label}")
         if bundle.composition is not None:
             timed(checks.check_composition_run, bundle.composition, trace,
                   cfg.eta, name=f"composition {label}")
         if bundle.regression is not None:
-            timed(_qlinear_or_skip, bundle.regression, trace,
+            timed(checks.check_regression_qlinear, bundle.regression, trace,
                   name=f"qlinear {label}")
 
     timed(checks.check_quartic_threshold)
@@ -452,16 +447,6 @@ def verify_all(seed: int, include_controls: bool = False,
     lines.append(f"overall = {'ok' if total == 0 else 'FAIL'}")
     seconds["total"] = time.perf_counter() - suite_start
     return "\n".join(lines) + "\n", total
-
-
-def _qlinear_or_skip(problem: LpRegressionProblem, trace: RunTrace,
-                     name: str) -> "checks.CheckReport":
-    """The Q-linear check, or a clean block saying why it does not apply."""
-    try:
-        return checks.check_regression_qlinear(problem, trace, name=name)
-    except AssumptionUnmetError as exc:
-        return checks.CheckReport(name=name, violations=0,
-                                  stats={"skipped": str(exc)})
 
 
 def cmd_verify(args) -> int:

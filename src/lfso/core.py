@@ -277,7 +277,9 @@ class Termination(enum.Enum):
     - ``gradient-tolerance``: ||grad f(x_k)|| <= grad_tol;
     - ``gradient-underflow``: 0 < ||grad f(x_k)|| < the smallest normal
       float64 (``np.finfo(float).tiny``).  A subnormal gradient has lost
-      relative precision, so further steps would follow rounding, not f.
+      relative precision, so further steps would follow rounding, not f;
+    - ``stalled``: x_k equals x_{k-1} bit for bit.  The step was lost to
+      rounding, so every further step would repeat it.
     """
 
     GRADIENT_TOLERANCE = "gradient-tolerance"
@@ -285,6 +287,7 @@ class Termination(enum.Enum):
     MAX_ITERATIONS = "max-iterations"
     STATIONARY_EXACT = "stationary-exact"
     ORACLE_ZERO = "oracle-zero"
+    STALLED = "stalled"
 
 
 @dataclass
@@ -433,7 +436,9 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
     in :class:`IterationRecord` order, from ``r_k`` on.
     The evaluation of the last iterate gives the final values.  Once
     ``max_iters`` steps are taken the run stops on the budget, whatever the
-    gradient at the last iterate."""
+    gradient at the last iterate.  An iterate is compared with the one
+    before only when its gradient norm is the same, so an iterate whose
+    gradient norm changed costs no array comparison."""
     x = as_vector(x0).copy()
     if x.size != problem.dim:
         raise ShapeMismatchError(
@@ -441,6 +446,7 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
     records = []
     iterates = [x.copy()] if keep_iterates else None
     termination = Termination.MAX_ITERATIONS
+    last_x, last_grad_norm = None, math.nan
     for k in range(max_iters + 1):
         try:
             g = _call(problem.grad, x, "gradient")
@@ -457,6 +463,9 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
             if grad_norm < _NORMAL_FLOOR:
                 termination = Termination.GRADIENT_UNDERFLOW
                 break
+            if grad_norm == last_grad_norm and np.array_equal(x, last_x):
+                termination = Termination.STALLED
+                break
             step, fields = rule(x, g, grad_norm)
             next_x = x - step
             if not np.isfinite(next_x).all():
@@ -466,6 +475,7 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
                 raise
             raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
         records.append(IterationRecord(k, f_val, grad_norm, *fields))
+        last_x, last_grad_norm = x, grad_norm
         x = next_x
         if keep_iterates:
             iterates.append(x.copy())
@@ -479,11 +489,17 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
                 keep_iterates: bool = False) -> RunTrace:
     """Run the oracle-driven solver from ``x0`` until the gradient tolerance
     is met, the gradient norm turns subnormal, the iterate is exactly
-    stationary, or the budget is exhausted (see :class:`Termination`).
+    stationary, a step leaves it unchanged, or the budget is exhausted (see
+    :class:`Termination`).
 
     ``keep_iterates`` stores every iterate on the trace, final point
-    included; the composition and Q-linear checks read them.
+    included; the composition and Q-linear checks read them.  Raises
+    ``ValueError`` when ``config.use_grad_bound`` is set and ``problem``
+    has no ``grad_norm_bound``.
     """
+    if config.use_grad_bound and problem.grad_norm_bound is None:
+        raise ValueError("use_grad_bound needs an objective with a "
+                         "grad_norm_bound; this one has none")
     return _descend(problem, x0, _OracleStep(oracle, problem, config),
                     config.max_iters, config.grad_tol, keep_iterates)
 

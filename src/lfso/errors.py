@@ -25,6 +25,11 @@ class GridEmptyError(LfsoError):
     """Monotone majorization configured with an empty radius grid."""
 
 
+class RadiusAboveGridError(LfsoError):
+    """Monotone majorization asked about a radius above its largest grid
+    radius."""
+
+
 class NegativeCurvatureError(LfsoError):
     """Supplied second derivative of the outer function evaluated negative."""
 

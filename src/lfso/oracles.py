@@ -16,7 +16,7 @@ import numpy as np
 from .core import (Lfso, Vector, each_float, euclidean_norm_rows,
                    inner_grad_norm, residual_inf)
 from .errors import (GridEmptyError, NegativeCurvatureError,
-                     NonFiniteValueError)
+                     NonFiniteValueError, RadiusAboveGridError)
 
 if TYPE_CHECKING:
     from .problems import CompositionProblem, LpRegressionProblem
@@ -178,25 +178,29 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
 
 def majorize_monotone(raw: Callable[[Vector, float], float],
                       grid: Optional[Sequence[float]] = None) -> Lfso:
-    """Monotone envelope of ``raw``: the running max of raw(x, R') over the
-    cached grid points R' <= R, together with R itself.
+    """Monotone envelope of ``raw`` on a radius grid: L(x, R) is the max of
+    raw(x, R') over the grid points R' up to the first one >= R.
 
-    The default grid is 64 log-spaced radii spanning [1e-8, 1e4], wide
-    enough to cover the inflated radii arising in the shipped experiments.
+    That first grid point R' covers B(x, R), so L(x, R) is a valid oracle
+    wherever ``raw`` is, and the max over a longer prefix of the grid never
+    falls as R grows.  A radius above the largest grid point raises
+    :class:`RadiusAboveGridError`.  The default grid is 64 log-spaced radii
+    spanning [1e-8, 1e4].
     """
     if grid is None:
         grid = np.logspace(-8.0, 4.0, 64)
-    grid = np.sort(np.asarray(grid, dtype=np.float64))
-    if grid.size == 0:
+    grid = np.sort(np.asarray(grid, dtype=np.float64)).tolist()
+    if not grid:
         raise GridEmptyError("majorize_monotone needs a nonempty radius grid")
 
     def evaluate(x: Vector, r: float) -> float:
         r = float(r)
-        best = float(raw(x, r))
+        best = -math.inf
         for g in grid:
-            if g > r:
-                break
-            best = max(best, float(raw(x, float(g))))
-        return best
+            best = max(best, float(raw(x, g)))
+            if g >= r:
+                return best
+        raise RadiusAboveGridError(
+            f"radius {r} lies above the largest grid radius {grid[-1]}")
 
     return Lfso(eval=evaluate)

@@ -449,10 +449,10 @@ def classify_rate(values: Sequence[float],
     """Label a decay sequence: "exact" if it dies within two recorded
     values, "linear" if the tail log-linear fit has R^2 >= 0.99, beats the
     power-law fit and falls, "sublinear" if the power-law fit wins and
-    falls.  A tail that does not fall (constant or growing) is
-    "indeterminate"."""
+    falls.  A tail that does not fall (constant or growing), and a sequence
+    too short to fit that never dies, is "indeterminate"."""
     _, _, n = _window(values, window_fraction)
-    if n <= 2:
+    if n <= 2 and n < len(values):
         return "exact"
     try:
         lin = fit_linear_rate(values, window_fraction)

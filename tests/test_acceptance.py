@@ -191,7 +191,7 @@ def test_criterion_6_descent_suite(fig2a_traces, fig2b_traces):
 
 def test_criterion_7_validity_suite():
     worst = 0.0
-    for name, objective, oracle, _ in shipped_pairs():
+    for name, objective, oracle in shipped_pairs():
         r_range = (1e-3, 2.0) if name == "quartic" else (0.1, 2.0)
         report = check_lfso_validity(
             objective, oracle,

@@ -157,6 +157,15 @@ class TestRunCommand:
         assert run_cli(["run", "--problem", "quartic", "--r-policy",
                         "biggest", "--out", tmp_path / "t.csv"]) == 2
 
+    def test_stalled_run_stops_after_one_step(self, tmp_path, capsys):
+        # at p = 40 the oracle step from ones is lost to rounding
+        out = tmp_path / "x.csv"
+        assert run_cli(["run", "--p", "40", "--out", out]) == 0
+        summary = capsys.readouterr().out
+        assert " steps=1 termination=stalled final_grad_ratio=1 " in summary
+        assert "rate=indeterminate" in summary
+        assert read_csv(out)["k"] == [0.0, 1.0]
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
@@ -189,7 +198,7 @@ class TestConfigFile:
         assert run_cli(["run", "--config", cfg]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_every_field_parses_to_its_type(self, tmp_path):
+    def test_every_field_parses_to_its_type(self, tmp_path, monkeypatch):
         values = {"problem": "lp-norm", "d": "3", "p": "2", "eta": "0.5",
                   "max_iters": "7", "grad_tol": "1e-9",
                   "r_policy": "residual-inf", "x0": "ones",
@@ -200,13 +209,35 @@ class TestConfigFile:
             problem="lp-norm", d=3, p=2, eta=0.5, max_iters=7, grad_tol=1e-9,
             r_policy="residual-inf", x0="ones", out_path="t.csv",
             solver="fixed", data_path="system.txt")
-        cfg = cli.config_from_sources(values, {})
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise cli.ConfigError("stop before the run")
+
+        monkeypatch.setattr(cli, "build_experiment", capture)
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"{key} = {text}\n"
+                                for key, text in values.items()))
+        assert run_cli(["run", "--config", path]) == 2
+        cfg, = seen
         assert cfg == expected
         for key in values:
             assert type(getattr(cfg, key)) is type(getattr(expected, key)), key
         path = tmp_path / "exp.cfg"
         path.write_text("d = 1.5\n")
         assert run_cli(["run", "--config", path]) == 2
+
+    @pytest.mark.parametrize("line", ["fig1a_eta_p2 = 0.01",
+                                      "fig1a_eta_pzz = junk"])
+    def test_reproduce_key_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+        key = line.split(" = ")[0]
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_value_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -415,6 +446,6 @@ class TestVerifyCommand:
             monkeypatch.setattr(cli, name, counted(kind, getattr(cli, name)))
         assert run_cli(["verify", "--seed", "3", "--include-controls"]) == 1
         capsys.readouterr()
-        # 11 shipped pairs plus 10 solver runs on built problems; the
-        # quartic run builds nothing through these names
-        assert calls == {"build": 21, "run": 11}
+        # one build per solver run, shared by the validity and monotone
+        # checks; the quartic run builds nothing through these names
+        assert calls == {"build": 10, "run": 11}

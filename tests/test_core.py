@@ -231,7 +231,69 @@ class TestGradientUnderflow:
             assert 0.0 < trace.final_grad_norm < TINY
 
 
+@pytest.mark.parametrize("solver", ["lfso", "fixed"])
+class TestStalled:
+    """A run stops with ``stalled`` at the first iterate equal to the one
+    before it, after that one no-op step."""
+
+    @staticmethod
+    def run(solver, problem, x0, step, max_iters=100):
+        # both solvers move x by step * grad f(x)
+        if solver == "lfso":
+            config = SolverConfig(r_policy=RPolicy.constant(1.0), eta=1.0,
+                                  max_iters=max_iters)
+            oracle = Lfso(eval=lambda x, r: 1.0 / step)
+            return run_lfso_gd(oracle, problem, x0, config)
+        return run_fixed_gd(problem, x0, step, max_iters=max_iters)
+
+    def test_step_below_rounding_stops_after_one_step(self, solver):
+        # 1e-17 is below half an ulp of 1, so x + step rounds back to x
+        problem, _ = identity_gradient()
+        trace = self.run(solver, problem, np.array([1.0]), 1e-17)
+        assert trace.termination is Termination.STALLED
+        assert trace.num_steps == 1
+        assert trace.records[0].step_norm == 1e-17
+        assert trace.final_x.tolist() == [1.0]
+        assert trace.final_grad_norm == trace.records[0].grad_norm
+
+    def test_budget_checked_first(self, solver):
+        problem, _ = identity_gradient()
+        trace = self.run(solver, problem, np.array([1.0]), 1e-17, max_iters=1)
+        assert trace.termination is Termination.MAX_ITERATIONS
+
+    def test_same_gradient_norm_with_moving_x_runs_on(self, solver, monkeypatch):
+        # f = sum(x) has the same gradient everywhere, so every iterate
+        # after the first is compared with the one before, and differs
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda a, b: compared.append(1) or array_equal(a, b))
+        linear = GradientOracle(dim=2, eval=lambda x: float(x.sum()),
+                                grad=lambda x: np.ones(2))
+        trace = self.run(solver, linear, np.zeros(2), 0.5, max_iters=20)
+        assert trace.termination is Termination.MAX_ITERATIONS
+        assert len(compared) == 19
+
+    def test_changing_gradient_norm_pays_no_comparison(self, solver,
+                                                        monkeypatch):
+        compared = []
+        monkeypatch.setattr(np, "array_equal",
+                            lambda a, b: compared.append(1))
+        problem, _ = identity_gradient()
+        trace = self.run(solver, problem, np.array([1.0]), 0.5, max_iters=50)
+        assert trace.num_steps == 50
+        assert compared == []
+
+
 class TestRunLfsoGd:
+    def test_grad_bound_requested_without_one_rejected(self):
+        # norm-power objectives carry no gradient-norm bound
+        problem, oracle = make_norm_power(10, 2)
+        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                              use_grad_bound=True)
+        with pytest.raises(ValueError, match="has none"):
+            run_lfso_gd(oracle, problem.objective(), np.ones(10), config)
+
     def test_p1_composition_one_step_stationary(self):
         problem, oracle = make_norm_power(10, 1)
         config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad))
@@ -527,8 +589,9 @@ def test_public_names_pinned():
         'InsufficientDataError', 'IterationRecord', 'Lfso', 'LfsoError',
         'LpRegressionProblem', 'MissingDiagnosticsError',
         'NegativeCurvatureError', 'NoConvergenceWarning', 'NonFiniteValueError',
-        'QuarticProblem', 'RPolicy', 'RateFit', 'RunTrace', 'SampleSpec',
-        'ShapeMismatchError', 'SolverConfig', 'Termination', 'Vector',
+        'QuarticProblem', 'RPolicy', 'RadiusAboveGridError', 'RateFit',
+        'RunTrace', 'SampleSpec', 'ShapeMismatchError', 'SolverConfig',
+        'Termination', 'Vector',
         'ZeroOracleError', 'ZeroResidualError', 'as_vector',
         'check_composition_run', 'check_holder', 'check_lfso_validity',
         'check_monotone_in_R', 'check_quartic_threshold',

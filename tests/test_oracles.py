@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from lfso.core import GradientOracle, Lfso
 from lfso.errors import (GridEmptyError, NegativeCurvatureError,
-                         NonFiniteValueError)
+                         NonFiniteValueError, RadiusAboveGridError)
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
                           hessian_lipschitz_lfso, ipow, majorize_monotone)
 from lfso.problems import (QuarticProblem, make_lp_regression,
@@ -203,10 +205,28 @@ class TestMajorizeMonotone:
         oracle = majorize_monotone(raw, grid=[0.0, 1.0, 2.0])
         assert oracle.eval(np.zeros(1), 2.0) == 2.0
 
-    def test_query_below_grid_uses_raw_alone(self):
+    def test_query_below_grid_uses_first_grid_point(self):
+        # B(x, 0.5) lies in B(x, 1), so raw at the first grid point covers it
         raw = lambda x, r: max(1.0, 2.0 - r)
         oracle = majorize_monotone(raw, grid=[1.0, 2.0])
-        assert oracle.eval(np.zeros(1), 0.5) == raw(None, 0.5) == 1.5
+        assert oracle.eval(np.zeros(1), 0.5) == raw(None, 1.0) == 1.0
+
+    @pytest.mark.parametrize("grid", [[1.0, 10.0], None])
+    def test_monotone_between_grid_points(self, grid):
+        # raw peaks between grid points; an envelope that also reads raw at
+        # R itself gave 5.0 at R = 4 and 1.0 at R = 6 on the grid [1, 10]
+        raw = lambda x, r: max(0.0, 5.0 - (r - 4.0) ** 2)
+        oracle = majorize_monotone(raw, grid=grid)
+        radii = np.linspace(0.5, 10.0, 400)
+        values = [oracle.eval(np.zeros(1), r) for r in radii]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert oracle.eval(np.zeros(1), 4.5) >= oracle.eval(np.zeros(1), 4.0)
+
+    @pytest.mark.parametrize("r", [2.5, 1e300, math.inf, math.nan])
+    def test_radius_above_grid_rejected(self, r):
+        oracle = majorize_monotone(lambda x, r: 1.0, grid=[1.0, 2.0])
+        with pytest.raises(RadiusAboveGridError, match="largest grid radius 2.0"):
+            oracle.eval(np.zeros(1), r)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(GridEmptyError):
@@ -222,7 +242,7 @@ class TestMajorizeMonotone:
         oracle = majorize_monotone(raw)
         oracle.eval(np.zeros(1), 1e4)
         assert min(calls) == pytest.approx(1e-8)
-        assert len(calls) == 65  # 64 grid points plus the query itself
+        assert len(calls) == 64  # every grid point, the last being 1e4
 
     def test_majorization_restores_monotonicity(self):
         raw = lambda x, r: max(1.0, 2.0 - r)

@@ -213,7 +213,7 @@ class TestValidityCheck:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_wrong_oracle_control_flagged(self, seed):
-        name, objective, _, _ = shipped_pairs()[1]
+        name, objective, _ = shipped_pairs()[1]
         assert name == "quadratic+constant"
         report = check_lfso_validity(objective,
                                      constant_lfso(ConstantLfsoParams(1.0)),
@@ -244,7 +244,7 @@ def suite_pairs():
     """{name: (objective, oracle)} of the suite's validity blocks, the
     wrong-oracle control included."""
     pairs = {name: (objective, oracle)
-             for name, objective, oracle, _ in shipped_pairs()}
+             for name, objective, oracle in shipped_pairs()}
     pairs["CONTROL wrong-oracle"] = (pairs["quadratic+constant"][0],
                                      constant_lfso(ConstantLfsoParams(1.0)))
     return pairs
@@ -545,6 +545,9 @@ class TestRateFitting:
         assert classify_rate([1.0, 0.0]) == "exact"
         # a tail that does not fall fits a line too, with slope >= 0
         assert classify_rate([1.0] * 50) == "indeterminate"
+        # too short to fit, and never reaches zero: a stalled run's ratios
+        assert classify_rate([1.0, 1.0]) == "indeterminate"
+        assert classify_rate([1.0]) == "indeterminate"
         assert classify_rate([1.1 ** k for k in range(50)]) == "indeterminate"
 
     def test_norm_power_run_slope_matches_recursion(self):

@@ -138,37 +138,28 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
 
 
 def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
-    """Oracle for f(x) = ||Ax - b||_{2p}^{2p}.
+    """Oracle for f(x) = ||Ax - b||_{2p}^{2p}, for every p >= 1:
 
-    For p >= 2,
+        L(x, R) = coef * [ ||Ax-b||_inf^{2p-2} + row_pow * R^{2p-2} ],
 
-        L(x, R) = 2p(2p-1) ||A||_2^2 2^{2p-3}
-                  * [ ||Ax-b||_inf^{2p-2} + (max_i ||a_i||_2^{2p-2}) R^{2p-2} ],
-
-    and for p = 1 the constant 2 ||A||_2^2 (the same formula with the zero
-    exponents collapsing to 1).
+    with ``coef = 2p(2p-1) ||A||_2^2 2^{2p-3}`` and ``row_pow = max_i
+    ||a_i||_2^{2p-2}`` read from the problem.  At p = 1 both powers are 1,
+    giving the constant 2 ||A||_2^2.
     """
-    p = int(problem.p)
-    a = problem.a
-    b = problem.b
-    norm_a_sq = float(problem.spec_norm) ** 2
-    if p == 1:
-        const = 2.0 * norm_a_sq
-        return Lfso(eval=lambda x, r: const,
-                    eval_rows=lambda xs, radii: np.full(len(xs), const))
-    coef = 2 * p * (2 * p - 1) * norm_a_sq * float(2 ** (2 * p - 3))
-    row_pow = ipow(float(problem.max_row_norm), 2 * p - 2)
+    a, b, k = problem.a, problem.b, 2 * int(problem.p) - 2
+    coef, row_pow = problem.coef, problem.row_pow
+
+    def value(res_inf, r):
+        return coef * (ipow(res_inf, k) + row_pow * ipow(r, k))
 
     def evaluate(x: Vector, r: float) -> float:
-        res_inf = residual_inf(a, b, x)
-        value = coef * (ipow(res_inf, 2 * p - 2) + row_pow * ipow(float(r), 2 * p - 2))
-        if not math.isfinite(value):
-            raise NonFiniteValueError(f"regression oracle value is {value}")
-        return value
+        result = value(residual_inf(a, b, x), float(r))
+        if not math.isfinite(result):
+            raise NonFiniteValueError(f"regression oracle value is {result}")
+        return result
 
     def evaluate_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        res_inf = np.abs(problem.residual_rows(xs)).max(axis=1)
-        values = coef * (ipow(res_inf, 2 * p - 2) + row_pow * ipow(radii, 2 * p - 2))
+        values = value(np.abs(problem.residual_rows(xs)).max(axis=1), radii)
         if not np.isfinite(values).all():
             raise NonFiniteValueError("regression oracle value is not finite")
         return values
@@ -183,24 +174,29 @@ def majorize_monotone(raw: Callable[[Vector, float], float],
 
     That first grid point R' covers B(x, R), so L(x, R) is a valid oracle
     wherever ``raw`` is, and the max over a longer prefix of the grid never
-    falls as R grows.  A radius above the largest grid point raises
-    :class:`RadiusAboveGridError`.  The default grid is 64 log-spaced radii
-    spanning [1e-8, 1e4].
+    falls as R grows.  A radius above the largest grid point, or NaN, raises
+    :class:`RadiusAboveGridError` before any call to ``raw``.  The default grid is 64 log-spaced radii
+    spanning [1e-8, 1e4]; a grid radius that is not positive and finite
+    raises ``ValueError``.
     """
     if grid is None:
         grid = np.logspace(-8.0, 4.0, 64)
     grid = np.sort(np.asarray(grid, dtype=np.float64)).tolist()
     if not grid:
         raise GridEmptyError("majorize_monotone needs a nonempty radius grid")
+    bad = [g for g in grid if not (g > 0.0 and math.isfinite(g))]
+    if bad:
+        raise ValueError(f"grid radius {bad[0]} must be positive and finite")
 
     def evaluate(x: Vector, r: float) -> float:
         r = float(r)
+        if not r <= grid[-1]:
+            raise RadiusAboveGridError(
+                f"radius {r} is not at most the largest grid radius {grid[-1]}")
         best = -math.inf
         for g in grid:
             best = max(best, float(raw(x, g)))
             if g >= r:
                 return best
-        raise RadiusAboveGridError(
-            f"radius {r} lies above the largest grid radius {grid[-1]}")
 
     return Lfso(eval=evaluate)

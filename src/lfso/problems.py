@@ -9,6 +9,7 @@ structure constants their oracles need, plus a scalar quartic toy problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import (GradientOracle, Lfso, Vector, as_vector, each_float,
                    residual, residual_inf, row_dots)
-from .errors import ShapeMismatchError, ZeroResidualError
+from .errors import NonFiniteValueError, ShapeMismatchError, ZeroResidualError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
 
 
@@ -80,6 +81,22 @@ class LpRegressionProblem:
         return self.a.shape[1]
 
     @property
+    def bound_coef(self) -> float:
+        """2p ||A||_2 sqrt(n), of the bound on ||grad f||."""
+        return 2 * self.p * float(self.spec_norm) * float(np.sqrt(self.n))
+
+    @property
+    def coef(self) -> float:
+        """2p(2p-1) ||A||_2^2 2^{2p-3}, the oracle's leading factor."""
+        p, norm_sq = self.p, float(self.spec_norm) ** 2
+        return 2 * p * (2 * p - 1) * norm_sq * float(2 ** (2 * p - 3))
+
+    @property
+    def row_pow(self) -> float:
+        """max_i ||a_i||_2^{2p-2}, the oracle's weight on R^{2p-2}."""
+        return ipow(float(self.max_row_norm), 2 * self.p - 2)
+
+    @property
     def theory_ok(self) -> bool:
         """Conditioning requirement for the Q-linear residual guarantee:
         full rank, n <= d, and cond(A)^4 < n / (n - 1)."""
@@ -100,9 +117,7 @@ class LpRegressionProblem:
         return np.matmul(self.a, xs[:, :, None])[:, :, 0] - self.b
 
     def objective(self) -> GradientOracle:
-        a, b, p = self.a, self.b, int(self.p)
-        two_p = 2 * p
-        bound_coef = two_p * float(self.spec_norm) * float(np.sqrt(self.n))
+        a, b, two_p, bound_coef = self.a, self.b, 2 * int(self.p), self.bound_coef
 
         def value(x: Vector) -> float:
             return float(ipow(residual(a, b, x), two_p).sum())
@@ -170,8 +185,10 @@ def make_norm_power(d: int, p: int):
 def make_lp_regression(a: np.ndarray, b, p: int):
     """Problem f(x) = ||Ax - b||_{2p}^{2p} paired with its oracle.
 
-    Structure constants (||A||_2, max row norm, condition number) are
-    computed once here and cached on the problem.  The objective, gradient,
+    Structure constants (max row norm, ||A||_2, condition number) are
+    computed once here and cached on the problem, whose ``bound_coef``,
+    ``coef`` and ``row_pow`` every reader takes; a max row norm or Gram
+    matrix that is not finite raises :class:`NonFiniteValueError`.  The objective, gradient,
     gradient-norm bound, oracle and ``RPolicy.residual_inf_norm`` read the
     residual ``Ax - b`` through :func:`lfso.core.residual`, so one iterate
     costs one product with A and one with A^T.  Both the cached constants
@@ -189,13 +206,14 @@ def make_lp_regression(a: np.ndarray, b, p: int):
             f"matrix has {a.shape[0]} rows but b has length {b.size}")
     if int(p) < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    max_row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a))))
+    if not math.isfinite(max_row_norm):
+        raise NonFiniteValueError(
+            f"matrix A has max row norm {max_row_norm}: an entry is not "
+            "finite or a row's squared norm overflows")
     spec_norm, cond = _spectral_constants(a)
-    problem = LpRegressionProblem(
-        a=a, b=b, p=int(p),
-        spec_norm=spec_norm,
-        max_row_norm=float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a)))),
-        cond=cond,
-    )
+    problem = LpRegressionProblem(a=a, b=b, p=int(p), spec_norm=spec_norm,
+                                  max_row_norm=max_row_norm, cond=cond)
     return problem, lp_regression_lfso(problem)
 
 
@@ -205,10 +223,17 @@ def _spectral_constants(a: np.ndarray):
     singular values of A.
 
     cond is inf when lambda_min(G) <= m * eps * lambda_max(G), m the side of
-    G: below that the rounding of G itself hides sigma_min(A).
+    G: below that the rounding of G itself hides sigma_min(A).  A G with an
+    entry that is not finite raises :class:`NonFiniteValueError`: for n > d,
+    A^T A can overflow though every row norm is finite.
     """
     a = np.asarray(a, dtype=np.float64)
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    with np.errstate(over="ignore"):
+        gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    if not np.isfinite(gram).all():
+        raise NonFiniteValueError(
+            "matrix A has a Gram matrix entry that is not finite: "
+            "||A||_2 overflows")
     lam = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     sigma_max = float(np.sqrt(max(lam_max, 0.0)))
@@ -238,19 +263,15 @@ def regression_constants(problem: LpRegressionProblem, eta: float):
     """Constants (c1, c2) of the closed-form regression iteration.
 
     With R_k = ||Ax_k - b||_inf and the gradient-norm bound in place of the
-    exact norm, the inflated radius is c1 * ||Ax_k - b||_inf and the oracle
-    value collapses to 2p * c2 * ||Ax_k - b||_inf^{2p-2}.  For p = 1, c1 = 1
-    and c2 = ||A||_2^2 by convention.
+    exact norm, the solver inflates the radius to c1 * ||Ax_k - b||_inf and
+    the oracle there is 2p * c2 * ||Ax_k - b||_inf^{2p-2}, for every A and
+    p >= 1: c1 = max(1, eta * bound_coef / (coef * (1 + row_pow))) and
+    c2 = coef * (1 + row_pow * c1^{2p-2}) / (2p).
     """
     p = int(problem.p)
-    norm_a = float(problem.spec_norm)
-    if p == 1:
-        return 1.0, norm_a ** 2
-    row_pow = ipow(float(problem.max_row_norm), 2 * p - 2)
-    two_pow = float(2 ** (2 * p - 3))
-    denom = (2 * p - 1) * norm_a * two_pow * (1.0 + row_pow)
-    c1 = max(1.0, float(eta) * np.sqrt(problem.n) / denom)
-    c2 = (2 * p - 1) * norm_a ** 2 * two_pow * (1.0 + row_pow * c1)
+    coef, row_pow = problem.coef, problem.row_pow
+    c1 = max(1.0, float(eta) * problem.bound_coef / (coef * (1.0 + row_pow)))
+    c2 = coef * (1.0 + row_pow * ipow(c1, 2 * p - 2)) / (2 * p)
     return float(c1), float(c2)
 
 

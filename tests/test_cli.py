@@ -123,6 +123,16 @@ class TestRunCommand:
         columns = read_csv(out)
         assert columns["grad_ratio"][-1] <= 1e-9
 
+    def test_regression_file_with_nan_entry_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "system.txt"
+        data.write_text("2 2\n1 nan\n0 1\n1 1\n")
+        out = tmp_path / "r.csv"
+        assert run_cli(["run", "--problem", "regression-file", "--data", data,
+                        "--p", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: matrix A has max row norm nan" in err
+        assert not out.exists()
+
     def test_x0_from_file(self, tmp_path):
         x0 = tmp_path / "start.txt"
         x0.write_text("2.0\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,8 +203,8 @@ class TestMajorizeMonotone:
 
     def test_running_max_over_grid(self):
         raw = lambda x, r: max(1.0, 2.0 - r)
-        oracle = majorize_monotone(raw, grid=[0.0, 1.0, 2.0])
-        assert oracle.eval(np.zeros(1), 2.0) == 2.0
+        oracle = majorize_monotone(raw, grid=[0.5, 1.0, 2.0])
+        assert oracle.eval(np.zeros(1), 2.0) == 1.5
 
     def test_query_below_grid_uses_first_grid_point(self):
         # B(x, 0.5) lies in B(x, 1), so raw at the first grid point covers it
@@ -224,13 +225,28 @@ class TestMajorizeMonotone:
 
     @pytest.mark.parametrize("r", [2.5, 1e300, math.inf, math.nan])
     def test_radius_above_grid_rejected(self, r):
-        oracle = majorize_monotone(lambda x, r: 1.0, grid=[1.0, 2.0])
-        with pytest.raises(RadiusAboveGridError, match="largest grid radius 2.0"):
+        calls = []
+        oracle = majorize_monotone(lambda x, r: calls.append(r) or 1.0,
+                                   grid=[1.0, 2.0])
+        with pytest.raises(RadiusAboveGridError,
+                           match=re.escape(f"radius {r} is not at most the "
+                                           "largest grid radius 2.0")):
             oracle.eval(np.zeros(1), r)
+        assert calls == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(GridEmptyError):
             majorize_monotone(lambda x, r: 1.0, grid=[])
+
+    @pytest.mark.parametrize("grid, bad", [
+        ([1.0, math.nan], "nan"), ([-1.0, 0.0, 1.0], "-1.0"),
+        ([0.0, 1.0], "0.0"), ([0.5, math.inf], "inf")])
+    def test_grid_radius_not_positive_and_finite_rejected(self, grid, bad):
+        calls = []
+        with pytest.raises(ValueError,
+                           match=f"grid radius {bad} must be positive and finite"):
+            majorize_monotone(lambda x, r: calls.append(r) or 1.0, grid=grid)
+        assert calls == []
 
     def test_default_grid_covers_experiment_radii(self):
         calls = []
@@ -247,7 +263,7 @@ class TestMajorizeMonotone:
     def test_majorization_restores_monotonicity(self):
         raw = lambda x, r: max(1.0, 2.0 - r)
         bare = Lfso(eval=raw)
-        fixed = majorize_monotone(raw, grid=np.linspace(0.0, 4.0, 32))
+        fixed = majorize_monotone(raw, grid=np.linspace(0.05, 4.0, 32))
         spec = SampleSpec(num_points=10, seed=1, r_range=(0.05, 4.0))
         assert check_monotone_in_R(bare, spec, dim=1).violations > 0
         assert check_monotone_in_R(fixed, spec, dim=1).violations == 0

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import lfso
+import lfso.problems as problems_module
 from lfso.core import (GradientOracle, RPolicy, SolverConfig, euclidean_norm,
                        inner_grad_norm, residual, residual_inf, row_dots,
                        run_lfso_gd)
-from lfso.errors import (NegativeCurvatureError, ShapeMismatchError,
-                         ZeroResidualError)
+from lfso.errors import (NegativeCurvatureError, NonFiniteValueError,
+                         ShapeMismatchError, ZeroResidualError)
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
                           ipow)
 from lfso.problems import (CompositionProblem, QuarticProblem, condition_number,
@@ -118,6 +119,32 @@ class TestLpRegression:
         problem, _ = make_lp_regression(a, np.zeros(7), 2)
         expected = max(math.sqrt(math.fsum(v * v for v in row)) for row in a)
         assert problem.max_row_norm == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("entry, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf"),
+        (1e200, "inf")])
+    def test_non_finite_row_norm_rejected_before_gram(self, monkeypatch,
+                                                      entry, shown):
+        # 1e200 is finite, but its square overflows the row norm
+        def no_gram(a):
+            raise AssertionError("Gram matrix formed")
+        monkeypatch.setattr(problems_module, "_spectral_constants", no_gram)
+        a = np.eye(4)
+        a[2, 1] = entry
+        with pytest.raises(NonFiniteValueError,
+                           match=f"matrix A has max row norm {shown}"):
+            make_lp_regression(a, np.zeros(4), 2)
+
+    def test_overflowing_gram_rejected(self):
+        # every row norm is 1e154, but A^T A = [4e308] overflows
+        with pytest.raises(NonFiniteValueError,
+                           match="Gram matrix entry that is not finite"):
+            make_lp_regression(np.full((4, 1), 1e154), np.ones(4), 2)
+
+    def test_all_nan_matrix_rejected(self):
+        with pytest.raises(NonFiniteValueError,
+                           match="matrix A has max row norm nan"):
+            make_lp_regression(np.full((3, 5), math.nan), np.zeros(3), 1)
 
     def test_bound_dominates_gradient_norm(self):
         rng = np.random.default_rng(2)
@@ -222,12 +249,19 @@ class TestRegressionConstants:
         assert c2 == pytest.approx(12.0, rel=1e-12)
 
     def test_p1_convention(self):
+        # the p = 1 oracle is 2 ||A||_2^2 and the bound 2 ||A||_2 sqrt(n),
+        # so c1 = max(1, eta sqrt(n) / (2 ||A||_2)) and c2 = ||A||_2^2
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 5))
         problem, _ = make_lp_regression(a, np.zeros(3), 1)
         c1, c2 = regression_constants(problem, 0.5)
-        assert c1 == 1.0
-        assert c2 == pytest.approx(problem.spec_norm ** 2, rel=1e-12)
+        expected = max(1.0, 0.5 * math.sqrt(3.0) / (2.0 * problem.spec_norm))
+        assert c1 == pytest.approx(expected, rel=1e-15)
+        assert c2 == problem.spec_norm ** 2
+        identity, _ = make_lp_regression(np.eye(10), np.zeros(10), 1)
+        c1, c2 = regression_constants(identity, 1.0)
+        assert c1 == pytest.approx(math.sqrt(10.0), rel=1e-15)
+        assert c2 == 1.0
 
     def test_c1_inflates_for_small_matrices(self):
         problem, _ = make_lp_regression(0.1 * np.eye(10), np.zeros(10), 2)
@@ -274,23 +308,76 @@ class TestResidualIterate:
             residual_iterate(problem, np.zeros(4), 1.0)
 
     def test_commutes_with_x_space_step(self):
-        # map the solver iterates through x -> Ax - b and compare
+        # map the solver iterates through x -> Ax - b and compare, for
+        # ||A||_2 near 1 (c1 = 1) and near 0.2 (c1 > 1)
         rng = np.random.default_rng(10)
         u, _, vt = np.linalg.svd(rng.normal(size=(6, 9)), full_matrices=False)
-        a = u @ np.diag(np.linspace(0.99, 1.01, 6)) @ vt
         x_star = rng.normal(size=9)
-        b = a @ x_star
-        problem, oracle = make_lp_regression(a, b, 2)
-        assert problem.theory_ok
+        for scale, inflated in ((1.0, False), (0.2, True)):
+            a = scale * (u @ np.diag(np.linspace(0.99, 1.01, 6)) @ vt)
+            b = a @ x_star
+            problem, oracle = make_lp_regression(a, b, 2)
+            assert problem.theory_ok
+            assert (regression_constants(problem, 1.0)[0] > 1.0) == inflated
+            config = SolverConfig(r_policy=RPolicy.residual_inf_norm(a, b),
+                                  max_iters=20, use_grad_bound=True)
+            trace = run_lfso_gd(oracle, problem.objective(), np.zeros(9),
+                                config, keep_iterates=True)
+            r = problem.residual(np.zeros(9))
+            for x in trace.iterates[1:]:
+                r = residual_iterate(problem, r, 1.0)
+                direct = problem.residual(x)
+                assert euclidean_norm(direct - r) <= 1e-10 * euclidean_norm(r)
+
+
+def _semi_orthogonal(n, d, seed):
+    """An n x d matrix with orthonormal rows."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, n)))
+    return q.T
+
+
+CLOSED_FORM_MATRICES = {
+    "0.1*I_100": lambda: 0.1 * np.eye(100),
+    "0.3*I_50": lambda: 0.3 * np.eye(50),
+    "0.2*Q_6x9": lambda: 0.2 * _semi_orthogonal(6, 9, seed=11),
+    "I_10": lambda: np.eye(10),
+}
+
+
+class TestClosedFormSolverStep:
+    """One solver step with the gradient-norm bound is the closed form:
+    R~_0 = c1 ||r_0||_inf, L_0 = 2p c2 ||r_0||_inf^{2p-2}, and
+    ``residual_iterate(r_0)`` is A x_1 - b, for any A."""
+
+    @pytest.mark.parametrize("label", list(CLOSED_FORM_MATRICES))
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_first_step(self, label, p):
+        a = CLOSED_FORM_MATRICES[label]()
+        n, d = a.shape
+        # ||b||_inf = 2 exactly, a power of two, so R~_0 / ||r_0||_inf is
+        # the quotient that c1 rounds
+        b = np.random.default_rng(p).uniform(-2.0, 2.0, n)
+        b[n // 2] = -2.0
+        problem, oracle = make_lp_regression(a, b, p)
+        c1, c2 = regression_constants(problem, 1.0)
+        if p == 2:
+            # every matrix but I_10 inflates the radius
+            assert (c1 > 1.0) == (label != "I_10")
         config = SolverConfig(r_policy=RPolicy.residual_inf_norm(a, b),
-                              max_iters=20, use_grad_bound=True)
-        trace = run_lfso_gd(oracle, problem.objective(), np.zeros(9), config,
+                              eta=1.0, max_iters=1, use_grad_bound=True)
+        trace = run_lfso_gd(oracle, problem.objective(), np.zeros(d), config,
                             keep_iterates=True)
-        r = problem.residual(np.zeros(9))
-        for x in trace.iterates[1:]:
-            r = residual_iterate(problem, r, 1.0)
-            direct = problem.residual(x)
-            assert euclidean_norm(direct - r) <= 1e-10 * euclidean_norm(r)
+        record = trace.records[0]
+        res_inf = record.r_k
+        assert res_inf == 2.0
+        assert record.r_tilde_k / res_inf == c1
+        assert record.l_k == pytest.approx(
+            2 * p * c2 * res_inf ** (2 * p - 2), rel=1e-12)
+        # at p = 1 an orthogonal-rows A is solved in one step, so compare
+        # on the scale of r_0
+        r_1 = residual_iterate(problem, -b, 1.0)
+        direct = a @ trace.iterates[1] - b
+        assert euclidean_norm(direct - r_1) <= 1e-12 * euclidean_norm(b)
 
 
 class TestQuarticProblem:

@@ -22,15 +22,19 @@ def _fmt(value: float) -> str:
 
 def write_log_plot(path, curves, title: str, x_label: str, y_label: str) -> None:
     """Write an SVG overlaying ``curves`` = [(label, xs, ys), ...] with a
-    log10 y-axis.  Non-positive y values end the polyline (they have no
-    logarithm); a curve that dies immediately still appears in the legend.
+    log10 y-axis.  A polyline ends before its first y that is not positive
+    or is NaN (no logarithm); a curve that dies at once stays in the legend.
     """
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     points = []
     for _, xs, ys in curves:
-        pairs = [(float(x), float(y)) for x, y in zip(xs, ys) if y > 0.0]
+        pairs = []
+        for x, y in zip(xs, ys):
+            if not y > 0.0:
+                break
+            pairs.append((float(x), float(y)))
         if len(pairs) > 1600:
             stride = math.ceil(len(pairs) / 1500)
             pairs = pairs[::stride] + [pairs[-1]]

@@ -6,14 +6,12 @@ Subcommands:
   verify     the full check suite -> plain-text report, exit 0 iff clean
 
 Exit statuses: 0 ok, 1 check violations, 2 usage or configuration error.
-The LFSO_SEED environment variable supplies the default seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +27,7 @@ from .core import (GradientOracle, Lfso, RPolicy, RunTrace, SolverConfig,
 from .errors import LfsoError
 from .oracles import ConstantLfsoParams, constant_lfso
 from .problems import (CompositionProblem, LpRegressionProblem,
-                       QuarticProblem, load_regression_data,
+                       QuarticProblem, _line_floats, load_regression_data,
                        make_lp_regression, make_norm_power)
 from . import verify as checks
 
@@ -110,10 +108,10 @@ def _parse_scalar(text: str, caster, key: str):
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
 
 
-def parse_config_file(path: str, casts: dict) -> dict:
-    """Read ``key = value`` lines into ``{key: casts[key](value)}``; '#'
-    starts a comment and blank lines are skipped.  ``casts`` holds the keys
-    of one subcommand; any other key is an error."""
+def parse_config_file(path: str) -> dict:
+    """Read ``run``'s ``key = value`` lines into ``{key: value}``, each value
+    read as its :class:`ExperimentConfig` field's type; '#' starts a comment
+    and blank lines are skipped.  Any other key is an error."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -125,9 +123,9 @@ def parse_config_file(path: str, casts: dict) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, text = line.partition("=")
                 key = key.strip()
-                if key not in casts:
+                if key not in _RUN_KEYS:
                     raise ConfigError(f"unknown config key: {key}")
-                values[key] = _parse_scalar(text.strip(), casts[key], key)
+                values[key] = _parse_scalar(text.strip(), _RUN_KEYS[key], key)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -139,10 +137,9 @@ def _field_type(hint):
     return args[0] if args else hint
 
 
-# The config keys of each subcommand, with the type each value is read as.
+# run's config keys, with the type each value is read as.
 _RUN_KEYS = {key: _field_type(hint)
              for key, hint in get_type_hints(ExperimentConfig).items()}
-_REPRODUCE_KEYS = {f"fig1a_eta_p{p}": float for p in FIGURE_PS}
 
 
 def fig1a_eta(p: int, x0) -> float:
@@ -165,29 +162,19 @@ def fig1a_eta(p: int, x0) -> float:
     return float(Fraction(10) ** k)
 
 
-def _fig1a_etas(values: dict) -> dict:
-    """fig1a's stepsize per p: the ``fig1a_eta_p<p>`` config value, else the
-    rule of :func:`fig1a_eta` from x0 = ones."""
-    etas = {}
-    for p in FIGURE_PS:
-        key = f"fig1a_eta_p{p}"
-        eta = values[key] if key in values else fig1a_eta(p, np.ones(10))
-        if not (eta > 0 and math.isfinite(eta)):
-            raise ConfigError(f"{key} must be positive and finite, got {eta}")
-        etas[p] = eta
-    return etas
-
-
 def _load_x0(spec: str, d: int) -> np.ndarray:
     if spec == "ones":
         return np.ones(d)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            vals = [float(tok) for tok in fh.read().split()]
+            vals = [v for lineno, line in enumerate(fh, start=1)
+                    for v in _line_floats(spec, lineno, line)]
     except OSError as exc:
         raise ConfigError(f"cannot read x0 file {spec}: {exc}") from exc
     if len(vals) != d:
-        raise ConfigError(f"x0 file has {len(vals)} values, expected {d}")
+        raise ConfigError(f"x0 file {spec} has {len(vals)} values, expected {d}")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"x0 file {spec} has an entry that is not finite")
     return np.array(vals, dtype=np.float64)
 
 
@@ -287,7 +274,7 @@ def summarize_trace(trace: RunTrace, label: str) -> str:
 
 
 def cmd_run(args) -> int:
-    values = parse_config_file(args.config, _RUN_KEYS) if args.config else {}
+    values = parse_config_file(args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in _RUN_KEYS
                   if getattr(args, key) is not None)
     cfg = ExperimentConfig(**values)
@@ -303,28 +290,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _figure_runs(figure: str, max_iters: int, etas_fig1a: dict):
+def _figure_runs(figure: str, max_iters: int):
     """Yield (p, config) pairs for one figure's five runs."""
     problem, solver, eta, _ = FIGURE_RUNS[figure]
     for p in FIGURE_PS:
         yield p, ExperimentConfig(
             problem=problem, solver=solver, p=p, d=10, max_iters=max_iters,
-            eta=etas_fig1a[p] if eta is None else eta)
+            eta=fig1a_eta(p, np.ones(10)) if eta is None else eta)
 
 
-def reproduce_figure(figure: str, out_dir: str, max_iters: int = 10_000,
-                     etas_fig1a: Optional[dict] = None) -> list:
+def reproduce_figure(figure: str, out_dir: str,
+                     max_iters: int = 10_000) -> list:
     """Run one figure's five experiments, write per-p CSVs and one SVG.
 
     Deterministic: repeated invocations produce byte-identical files.
     """
     if figure not in FIGURES:
         raise ConfigError(f"figure must be one of {FIGURES}, got {figure!r}")
-    etas = etas_fig1a if etas_fig1a is not None else _fig1a_etas({})
     os.makedirs(out_dir, exist_ok=True)
     written = []
     curves = []
-    for p, cfg in _figure_runs(figure, max_iters, etas):
+    for p, cfg in _figure_runs(figure, max_iters):
         bundle = build_experiment(cfg)
         trace = execute(cfg, bundle)
         path = os.path.join(out_dir, f"{figure}_p{p}.csv")
@@ -341,12 +327,10 @@ def reproduce_figure(figure: str, out_dir: str, max_iters: int = 10_000,
 
 
 def cmd_reproduce(args) -> int:
-    etas = _fig1a_etas(parse_config_file(args.config, _REPRODUCE_KEYS)
-                       if args.config else {})
     figures = FIGURES if args.figure == "all" else (args.figure,)
     for figure in figures:
         written = reproduce_figure(figure, args.out_dir,
-                                   max_iters=args.max_iters, etas_fig1a=etas)
+                                   max_iters=args.max_iters)
         for path in written:
             print(f"wrote {path}")
     return 0
@@ -465,14 +449,6 @@ def cmd_verify(args) -> int:
     return 0 if total == 0 else 1
 
 
-def _seed(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid seed {text!r}: --seed and LFSO_SEED take an integer") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfso",
@@ -500,13 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--figure", choices=FIGURES + ("all",), required=True)
     rep.add_argument("--out-dir", default="figures")
     rep.add_argument("--max-iters", dest="max_iters", type=int, default=10_000)
-    rep.add_argument("--config", default=None)
     rep.set_defaults(handler=cmd_reproduce)
 
     ver = sub.add_parser("verify", help="run the verification suite")
-    # argparse applies ``type`` to a string default only when the verify
-    # command runs without --seed, so a bad LFSO_SEED leaves other commands alone
-    ver.add_argument("--seed", type=_seed, default=os.environ.get("LFSO_SEED", "0"))
+    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--include-controls", action="store_true",
                      help="also run the deliberately broken control inputs")
     ver.add_argument("--timings", default=None, metavar="PATH",

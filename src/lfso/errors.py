@@ -21,15 +21,6 @@ class ZeroResidualError(LfsoError):
     """Residual-space step requested at an exact solution."""
 
 
-class GridEmptyError(LfsoError):
-    """Monotone majorization configured with an empty radius grid."""
-
-
-class RadiusAboveGridError(LfsoError):
-    """Monotone majorization asked about a radius above its largest grid
-    radius."""
-
-
 class NegativeCurvatureError(LfsoError):
     """Supplied second derivative of the outer function evaluated negative."""
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .core import (Lfso, Vector, each_float, euclidean_norm_rows,
                    inner_grad_norm, residual_inf)
-from .errors import (GridEmptyError, NegativeCurvatureError,
-                     NonFiniteValueError, RadiusAboveGridError)
+from .errors import NegativeCurvatureError, NonFiniteValueError
 
 if TYPE_CHECKING:
     from .problems import CompositionProblem, LpRegressionProblem
@@ -166,37 +165,3 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
 
     return Lfso(eval=evaluate, eval_rows=evaluate_rows)
 
-
-def majorize_monotone(raw: Callable[[Vector, float], float],
-                      grid: Optional[Sequence[float]] = None) -> Lfso:
-    """Monotone envelope of ``raw`` on a radius grid: L(x, R) is the max of
-    raw(x, R') over the grid points R' up to the first one >= R.
-
-    That first grid point R' covers B(x, R), so L(x, R) is a valid oracle
-    wherever ``raw`` is, and the max over a longer prefix of the grid never
-    falls as R grows.  A radius above the largest grid point, or NaN, raises
-    :class:`RadiusAboveGridError` before any call to ``raw``.  The default grid is 64 log-spaced radii
-    spanning [1e-8, 1e4]; a grid radius that is not positive and finite
-    raises ``ValueError``.
-    """
-    if grid is None:
-        grid = np.logspace(-8.0, 4.0, 64)
-    grid = np.sort(np.asarray(grid, dtype=np.float64)).tolist()
-    if not grid:
-        raise GridEmptyError("majorize_monotone needs a nonempty radius grid")
-    bad = [g for g in grid if not (g > 0.0 and math.isfinite(g))]
-    if bad:
-        raise ValueError(f"grid radius {bad[0]} must be positive and finite")
-
-    def evaluate(x: Vector, r: float) -> float:
-        r = float(r)
-        if not r <= grid[-1]:
-            raise RadiusAboveGridError(
-                f"radius {r} is not at most the largest grid radius {grid[-1]}")
-        best = -math.inf
-        for g in grid:
-            best = max(best, float(raw(x, g)))
-            if g >= r:
-                return best
-
-    return Lfso(eval=evaluate)

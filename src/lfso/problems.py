@@ -10,6 +10,7 @@ structure constants their oracles need, plus a scalar quartic toy problem.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -296,28 +297,39 @@ def residual_iterate(problem: LpRegressionProblem, r: Vector,
     return r - scale * (problem.a @ (problem.a.T @ ipow(r, 2 * p - 1)))
 
 
+def _line_floats(path, lineno: int, line: str) -> list:
+    """The floats of line ``lineno`` of ``path``; errors name both."""
+    try:
+        return [float(tok) for tok in line.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def load_regression_data(path):
     """Read (A, b) from plain text: first line "n d", then n rows of d
-    floats, then b on one final line."""
+    floats, then b on one final line; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty data file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: first line must be 'n d', got {lines[0]!r}")
-    n, d = int(header[0]), int(header[1])
+    lineno, header = lines[0]
+    shape = re.fullmatch(r"([1-9]\d*)\s+([1-9]\d*)", header)
+    if shape is None:
+        raise ValueError(f"{path}:{lineno}: first line must be 'n d' with "
+                         f"integers n, d >= 1, got {header!r}")
+    n, d = map(int, shape.groups())
     if len(lines) != n + 2:
         raise ValueError(
             f"{path}: expected {n} matrix rows plus b, found {len(lines) - 1} lines")
     rows = []
-    for i, ln in enumerate(lines[1:n + 1], start=2):
-        vals = [float(tok) for tok in ln.split()]
+    for lineno, ln in lines[1:n + 1]:
+        vals = _line_floats(path, lineno, ln)
         if len(vals) != d:
-            raise ValueError(f"{path}:{i}: expected {d} values, got {len(vals)}")
+            raise ValueError(f"{path}:{lineno}: expected {d} values, got {len(vals)}")
         rows.append(vals)
-    b_vals = [float(tok) for tok in lines[n + 1].split()]
+    lineno, ln = lines[n + 1]
+    b_vals = _line_floats(path, lineno, ln)
     if len(b_vals) != n:
         raise ValueError(
-            f"{path}: b must have {n} values, got {len(b_vals)}")
+            f"{path}:{lineno}: b must have {n} values, got {len(b_vals)}")
     return np.array(rows, dtype=np.float64), np.array(b_vals, dtype=np.float64)

@@ -292,7 +292,11 @@ def test_criterion_11_fig1a_stepsizes_keep_fixed_step_sublinear(tmp_path,
     rates = {}
     for line in capsys.readouterr().out.splitlines():
         fields = dict(word.split("=", 1) for word in line.split()[1:])
-        rates[int(fields["p"])] = fields["rate"]
+        p = int(fields["p"])
+        # the printed stepsize is the one the rule gives, and the one that ran
+        assert fields["eta"] == f"{fig1a_eta(p, np.ones(10)):g}"
+        rates[p] = fields["rate"]
+    assert sorted(rates) == list(PS)
     for p in (2, 3, 4, 5):
         assert rates[p] == "sublinear", f"fig1a p={p}: rate={rates[p]}"
     print("[acceptance 11] fig1a stepsizes 1e-1 .. 1e-4, 1e-6 from the "

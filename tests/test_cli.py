@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lfso import cli
+from lfso import _svg, cli
 from lfso.verify import fit_linear_rate
 
 
@@ -290,6 +290,35 @@ class TestUsageErrors:
         assert "grad_tol" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("2.5 2\n1 2\n3\n", ":1: first line must be 'n d' with integers "
+         "n, d >= 1, got '2.5 2'"),
+        ("-1 2\n1 2\n3\n", ":1: first line must be 'n d'"),
+        ("0 2\n1 2\n3\n", ":1: first line must be 'n d'"),
+        ("2 2\n1 0\n\n0 a\n1 1\n", ":4: could not convert string to float: 'a'"),
+        ("1 2\n1 0\nb\n", ":3: could not convert string to float: 'b'")])
+    def test_bad_regression_file_names_file_and_line(self, tmp_path, capsys,
+                                                     text, message):
+        data = tmp_path / "system.txt"
+        data.write_text(text)
+        out = tmp_path / "r.csv"
+        assert run_cli(["run", "--problem", "regression-file", "--data", data,
+                        "--out", out]) == 2
+        assert f"error: {data}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\n2 x\n", ":2: could not convert string to float: 'x'"),
+        ("inf", " has an entry that is not finite")])
+    def test_bad_x0_file_names_file(self, tmp_path, capsys, text, message):
+        x0 = tmp_path / "start.txt"
+        x0.write_text(text)
+        out = tmp_path / "q.csv"
+        assert run_cli(["run", "--problem", "quartic", "--x0", x0,
+                        "--out", out]) == 2
+        assert f"{x0}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_takes_no_seed(self, capsys):
         # run draws no random numbers; only verify takes a seed
         with pytest.raises(SystemExit) as exc:
@@ -331,42 +360,6 @@ class TestReproduce:
             assert banned not in svg
         assert svg.count("<polyline") == 5
 
-    def test_fig1a_eta_override(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("fig1a_eta_p2 = 0.005\n")
-        run_cli(["reproduce", "--figure", "fig1a", "--out-dir",
-                 tmp_path / "figs", "--max-iters", "50", "--config", cfg])
-        assert "fig1a p=2 eta=0.005" in capsys.readouterr().out
-
-    def test_config_key_other_than_fig1a_eta_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("max_iters = 5\n")
-        assert run_cli(["reproduce", "--figure", "fig2b", "--out-dir",
-                        tmp_path / "figs", "--config", cfg]) == 2
-        assert "unknown config key" in capsys.readouterr().err
-        assert not (tmp_path / "figs").exists()
-
-    @pytest.mark.parametrize("key", ["fig1a_eta_p0", "fig1a_eta_p6",
-                                     "fig1a_eta_p7", "fig1a_eta_p-1"])
-    def test_fig1a_eta_for_unrun_p_exits_2(self, tmp_path, capsys, key):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"{key} = 0.1\n")
-        assert run_cli(["reproduce", "--figure", "fig1a", "--out-dir",
-                        tmp_path / "figs", "--config", cfg]) == 2
-        assert f"unknown config key: {key}" in capsys.readouterr().err
-        assert not (tmp_path / "figs").exists()
-
-    @pytest.mark.parametrize("value", ["-1", "0", "-0.0", "nan", "inf"])
-    def test_bad_fig1a_eta_exits_2_before_any_file(self, tmp_path, capsys,
-                                                   value):
-        # p = 3 comes after p = 1 and p = 2, which used to be written first
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"fig1a_eta_p3 = {value}\n")
-        assert run_cli(["reproduce", "--figure", "all", "--out-dir",
-                        tmp_path / "figs", "--config", cfg]) == 2
-        assert "fig1a_eta_p3 must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "figs").exists()
-
     def test_all_figures(self, tmp_path):
         out = tmp_path / "figs"
         assert run_cli(["reproduce", "--figure", "all", "--out-dir", out,
@@ -380,6 +373,25 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             run_cli(["reproduce", "--figure", "fig3"])
         assert exc.value.code == 2
+
+
+class TestLogPlot:
+    @staticmethod
+    def polyline_points(tmp_path, ys):
+        path = tmp_path / "plot.svg"
+        _svg.write_log_plot(path, [("c", list(range(len(ys))), ys)],
+                            "t", "x", "y")
+        svg = path.read_text()
+        assert svg.count("<polyline") == 1
+        return svg.split('<polyline points="')[1].split('"')[0].split()
+
+    def test_zero_ends_the_polyline(self, tmp_path):
+        # no segment may bridge the zero at k = 1
+        assert len(self.polyline_points(tmp_path, [1.0, 0.0, 0.5])) == 1
+
+    def test_nan_ends_the_polyline(self, tmp_path):
+        points = self.polyline_points(tmp_path, [1.0, 0.5, math.nan, 0.25])
+        assert len(points) == 2
 
 
 class TestVerifyCommand:
@@ -423,20 +435,6 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "timings.json" in captured.err
-
-    def test_seed_env_default(self, monkeypatch):
-        monkeypatch.setenv("LFSO_SEED", "77")
-        parser = cli.build_parser()
-        args = parser.parse_args(["verify"])
-        assert args.seed == 77
-
-    def test_bad_seed_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("LFSO_SEED", "abc")
-        assert "seed" not in vars(cli.build_parser().parse_args(["run"]))
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["verify"])
-        assert exc.value.code == 2
-        assert "LFSO_SEED" in capsys.readouterr().err
 
     def test_controls_suite_builds_and_runs_through_cli_names(self, monkeypatch,
                                                               capsys):

@@ -585,11 +585,10 @@ def test_public_names_pinned():
     # here; the submodules that importing binds in the package stay out.
     assert sorted(lfso.__all__) == [
         'AssumptionUnmetError', 'CheckReport', 'CompositionProblem',
-        'ConstantLfsoParams', 'GradientOracle', 'GridEmptyError',
-        'InsufficientDataError', 'IterationRecord', 'Lfso', 'LfsoError',
+        'ConstantLfsoParams', 'GradientOracle', 'InsufficientDataError', 'IterationRecord', 'Lfso', 'LfsoError',
         'LpRegressionProblem', 'MissingDiagnosticsError',
         'NegativeCurvatureError', 'NoConvergenceWarning', 'NonFiniteValueError',
-        'QuarticProblem', 'RPolicy', 'RadiusAboveGridError', 'RateFit',
+        'QuarticProblem', 'RPolicy', 'RateFit',
         'RunTrace', 'SampleSpec', 'ShapeMismatchError', 'SolverConfig',
         'Termination', 'Vector',
         'ZeroOracleError', 'ZeroResidualError', 'as_vector',
@@ -599,7 +598,7 @@ def test_public_names_pinned():
         'composition_lfso', 'condition_number', 'constant_lfso',
         'euclidean_norm', 'fit_linear_rate', 'fit_powerlaw_rate',
         'hessian_lipschitz_lfso', 'load_regression_data', 'lp_regression_lfso',
-        'majorize_monotone', 'make_lp_regression', 'make_norm_power',
+        'make_lp_regression', 'make_norm_power',
         'quartic_containment_threshold',
         'regression_constants', 'residual_iterate', 'run_fixed_gd',
         'run_lfso_gd', 'spectral_norm']

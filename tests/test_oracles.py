@@ -1,14 +1,10 @@
-import math
-import re
-
 import numpy as np
 import pytest
 
-from lfso.core import GradientOracle, Lfso
-from lfso.errors import (GridEmptyError, NegativeCurvatureError,
-                         NonFiniteValueError, RadiusAboveGridError)
+from lfso.core import GradientOracle
+from lfso.errors import NegativeCurvatureError, NonFiniteValueError
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
-                          hessian_lipschitz_lfso, ipow, majorize_monotone)
+                          hessian_lipschitz_lfso, ipow)
 from lfso.problems import (QuarticProblem, make_lp_regression,
                            make_norm_power)
 from lfso.verify import SampleSpec, check_lfso_validity, check_monotone_in_R
@@ -193,80 +189,6 @@ class TestLpRegressionLfso:
         report = check_monotone_in_R(oracle, SampleSpec(num_points=40, seed=9),
                                      dim=5)
         assert report.violations == 0
-
-
-class TestMajorizeMonotone:
-    def test_constant_raw_unchanged(self):
-        oracle = majorize_monotone(lambda x, r: 5.0)
-        assert oracle.eval(np.zeros(1), 0.3) == 5.0
-        assert oracle.eval(np.zeros(1), 3000.0) == 5.0
-
-    def test_running_max_over_grid(self):
-        raw = lambda x, r: max(1.0, 2.0 - r)
-        oracle = majorize_monotone(raw, grid=[0.5, 1.0, 2.0])
-        assert oracle.eval(np.zeros(1), 2.0) == 1.5
-
-    def test_query_below_grid_uses_first_grid_point(self):
-        # B(x, 0.5) lies in B(x, 1), so raw at the first grid point covers it
-        raw = lambda x, r: max(1.0, 2.0 - r)
-        oracle = majorize_monotone(raw, grid=[1.0, 2.0])
-        assert oracle.eval(np.zeros(1), 0.5) == raw(None, 1.0) == 1.0
-
-    @pytest.mark.parametrize("grid", [[1.0, 10.0], None])
-    def test_monotone_between_grid_points(self, grid):
-        # raw peaks between grid points; an envelope that also reads raw at
-        # R itself gave 5.0 at R = 4 and 1.0 at R = 6 on the grid [1, 10]
-        raw = lambda x, r: max(0.0, 5.0 - (r - 4.0) ** 2)
-        oracle = majorize_monotone(raw, grid=grid)
-        radii = np.linspace(0.5, 10.0, 400)
-        values = [oracle.eval(np.zeros(1), r) for r in radii]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert oracle.eval(np.zeros(1), 4.5) >= oracle.eval(np.zeros(1), 4.0)
-
-    @pytest.mark.parametrize("r", [2.5, 1e300, math.inf, math.nan])
-    def test_radius_above_grid_rejected(self, r):
-        calls = []
-        oracle = majorize_monotone(lambda x, r: calls.append(r) or 1.0,
-                                   grid=[1.0, 2.0])
-        with pytest.raises(RadiusAboveGridError,
-                           match=re.escape(f"radius {r} is not at most the "
-                                           "largest grid radius 2.0")):
-            oracle.eval(np.zeros(1), r)
-        assert calls == []
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(GridEmptyError):
-            majorize_monotone(lambda x, r: 1.0, grid=[])
-
-    @pytest.mark.parametrize("grid, bad", [
-        ([1.0, math.nan], "nan"), ([-1.0, 0.0, 1.0], "-1.0"),
-        ([0.0, 1.0], "0.0"), ([0.5, math.inf], "inf")])
-    def test_grid_radius_not_positive_and_finite_rejected(self, grid, bad):
-        calls = []
-        with pytest.raises(ValueError,
-                           match=f"grid radius {bad} must be positive and finite"):
-            majorize_monotone(lambda x, r: calls.append(r) or 1.0, grid=grid)
-        assert calls == []
-
-    def test_default_grid_covers_experiment_radii(self):
-        calls = []
-
-        def raw(x, r):
-            calls.append(r)
-            return 1.0
-
-        oracle = majorize_monotone(raw)
-        oracle.eval(np.zeros(1), 1e4)
-        assert min(calls) == pytest.approx(1e-8)
-        assert len(calls) == 64  # every grid point, the last being 1e4
-
-    def test_majorization_restores_monotonicity(self):
-        raw = lambda x, r: max(1.0, 2.0 - r)
-        bare = Lfso(eval=raw)
-        fixed = majorize_monotone(raw, grid=np.linspace(0.05, 4.0, 32))
-        spec = SampleSpec(num_points=10, seed=1, r_range=(0.05, 4.0))
-        assert check_monotone_in_R(bare, spec, dim=1).violations > 0
-        assert check_monotone_in_R(fixed, spec, dim=1).violations == 0
 
 
 class TestShippedPairValidity:

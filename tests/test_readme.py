@@ -1,13 +1,21 @@
-"""Every ``python`` block of README.md runs, each in a fresh namespace."""
+"""Every ``python`` block of README.md runs, each in a fresh namespace, and
+every ``lfso`` command line of its ``sh`` blocks parses."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from lfso import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT,
                     flags=re.MULTILINE | re.DOTALL)
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```", TEXT,
+                                         flags=re.MULTILINE | re.DOTALL)
+            for line in block.splitlines() if line.startswith("lfso ")]
 
 
 def test_readme_has_python_examples():
@@ -17,3 +25,13 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_command_examples():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_command_line_parses(line):
+    # parsing only: a removed flag, subcommand or choice exits 2 here
+    cli.build_parser().parse_args(shlex.split(line)[1:])

@@ -15,9 +15,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, get_args, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -70,20 +70,12 @@ class ExperimentConfig:
     data_path: Optional[str] = None
 
     def validate(self) -> None:
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
-        if self.solver not in ("lfso", "fixed"):
-            raise ConfigError(f"solver must be 'lfso' or 'fixed', got {self.solver!r}")
+        """The checks no later step makes: argparse already limits problem
+        and solver, and the solvers check eta, max_iters and grad_tol."""
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.grad_tol >= 0:
-            raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
         if self.problem == "regression-file" and not self.data_path:
             raise ConfigError("regression-file needs data_path (--data)")
 
@@ -99,47 +91,6 @@ class ExperimentBundle:
     x0: np.ndarray
     composition: Optional[CompositionProblem] = None
     regression: Optional[LpRegressionProblem] = None
-
-
-def _parse_scalar(text: str, caster, key: str):
-    try:
-        return caster(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r}") from exc
-
-
-def parse_config_file(path: str) -> dict:
-    """Read ``run``'s ``key = value`` lines into ``{key: value}``, each value
-    read as its :class:`ExperimentConfig` field's type; '#' starts a comment
-    and blank lines are skipped.  Any other key is an error."""
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, text = line.partition("=")
-                key = key.strip()
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown config key: {key}")
-                values[key] = _parse_scalar(text.strip(), _RUN_KEYS[key], key)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _field_type(hint):
-    """The scalar type of a config field, ``Optional[T]`` read as ``T``."""
-    args = [t for t in get_args(hint) if t is not type(None)]
-    return args[0] if args else hint
-
-
-# run's config keys, with the type each value is read as.
-_RUN_KEYS = {key: _field_type(hint)
-             for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def fig1a_eta(p: int, x0) -> float:
@@ -173,8 +124,6 @@ def _load_x0(spec: str, d: int) -> np.ndarray:
         raise ConfigError(f"cannot read x0 file {spec}: {exc}") from exc
     if len(vals) != d:
         raise ConfigError(f"x0 file {spec} has {len(vals)} values, expected {d}")
-    if not np.isfinite(vals).all():
-        raise ConfigError(f"x0 file {spec} has an entry that is not finite")
     return np.array(vals, dtype=np.float64)
 
 
@@ -187,8 +136,12 @@ def _policy_from_selector(selector: str, bundle_kind: str,
                     "regression-file": "residual-inf",
                     "quartic": "constant:0.1"}[bundle_kind]
     if selector.startswith("constant:"):
-        return RPolicy.constant(_parse_scalar(selector.split(":", 1)[1],
-                                              float, "r_policy"))
+        text = selector.split(":", 1)[1]
+        try:
+            c = float(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for r_policy: {text!r}") from exc
+        return RPolicy.constant(c)
     if selector == "grad-g-norm":
         if composition is None:
             raise ConfigError("grad-g-norm radius policy needs a composition problem")
@@ -274,10 +227,9 @@ def summarize_trace(trace: RunTrace, label: str) -> str:
 
 
 def cmd_run(args) -> int:
-    values = parse_config_file(args.config) if args.config else {}
-    values.update((key, getattr(args, key)) for key in _RUN_KEYS
-                  if getattr(args, key) is not None)
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(ExperimentConfig)
+                              if getattr(args, f.name) is not None})
     cfg.validate()
     bundle = build_experiment(cfg)
     trace = execute(cfg, bundle)
@@ -372,8 +324,9 @@ def verify_all(seed: int, include_controls: bool = False,
     Returns (report_text, total_violations).  With ``include_controls``
     the deliberately broken inputs join the suite, so violations are
     expected and the exit status is nonzero.  A ``timings`` dict receives
-    the wall seconds of each check under its report block's name, and of
-    the whole suite under ``"total"``; the report text does not depend on it.
+    the wall seconds of each check under its report block's name, of each
+    solver run under ``"run <label>"``, and of the whole suite under
+    ``"total"``; the report text does not depend on it.
     """
     suite_start = time.perf_counter()
     reports = []
@@ -396,8 +349,10 @@ def verify_all(seed: int, include_controls: bool = False,
               name=f"monotone-in-R {name}")
 
     for cfg, bundle in zip(SUITE_RUNS, bundles):
-        trace = execute(cfg, bundle, keep_iterates=True)
         label = _suite_label(cfg)
+        start = time.perf_counter()
+        trace = execute(cfg, bundle, keep_iterates=True)
+        seconds[f"run {label}"] = time.perf_counter() - start
         timed(checks.check_trace, trace, cfg.eta, name=f"trace {label}")
         if bundle.composition is not None:
             timed(checks.check_composition_run, bundle.composition, trace,
@@ -469,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--solver", choices=("lfso", "fixed"), default=None)
     run.add_argument("--data", dest="data_path", default=None,
                      help="matrix file for regression-file problems")
-    run.add_argument("--config", default=None, help="key = value config file")
     run.set_defaults(handler=cmd_run)
 
     rep = sub.add_parser("reproduce", help="reproduce a figure's runs")

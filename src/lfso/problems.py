@@ -298,11 +298,16 @@ def residual_iterate(problem: LpRegressionProblem, r: Vector,
 
 
 def _line_floats(path, lineno: int, line: str) -> list:
-    """The floats of line ``lineno`` of ``path``; errors name both."""
-    try:
-        return [float(tok) for tok in line.split()]
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    """The finite floats of line ``lineno`` of ``path``; errors name both."""
+    vals = []
+    for tok in line.split():
+        try:
+            vals.append(float(tok))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not math.isfinite(vals[-1]):
+            raise ValueError(f"{path}:{lineno}: entry {tok!r} is not finite")
+    return vals
 
 
 def load_regression_data(path):

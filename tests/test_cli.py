@@ -130,7 +130,7 @@ class TestRunCommand:
         assert run_cli(["run", "--problem", "regression-file", "--data", data,
                         "--p", "2", "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "error: matrix A has max row norm nan" in err
+        assert f"error: {data}:2: entry 'nan' is not finite" in err
         assert not out.exists()
 
     def test_x0_from_file(self, tmp_path):
@@ -177,87 +177,26 @@ class TestRunCommand:
         assert read_csv(out)["k"] == [0.0, 1.0]
 
 
-class TestConfigFile:
-    def test_config_supplies_values(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        out = tmp_path / "t.csv"
-        cfg.write_text(
-            "# experiment settings\n"
-            "problem = lp-norm\n"
-            "p = 3\n"
-            "max_iters = 50   # short run\n"
-            f"out_path = {out}\n")
-        assert run_cli(["run", "--config", cfg]) == 0
-        columns = read_csv(out)
-        assert len(columns["k"]) == 51
+class TestRunFlags:
+    def test_each_field_has_one_flag_of_its_type(self):
+        run = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+        flags = [action for action in run._actions if action.dest != "help"]
+        # one flag per field, and no other flag or positional
+        assert sorted(action.dest for action in flags) == \
+            sorted(f.name for f in fields(cli.ExperimentConfig))
+        assert all(action.option_strings for action in flags)
+        flags = {action.dest: action for action in flags}
+        for name in ("d", "p", "max_iters"):
+            assert flags[name].type is int, name
+        for name in ("eta", "grad_tol"):
+            assert flags[name].type is float, name
+        assert tuple(flags["problem"].choices) == cli.PROBLEMS
+        assert tuple(flags["solver"].choices) == ("lfso", "fixed")
 
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        out = tmp_path / "t.csv"
-        cfg.write_text("problem = lp-norm\np = 3\nmax_iters = 50\n")
-        assert run_cli(["run", "--config", cfg, "--p", "2", "--max-iters", "30",
-                        "--out", out]) == 0
-        columns = read_csv(out)
-        assert len(columns["k"]) == 31
-        assert columns["grad_ratio"][1] == pytest.approx((11.0 / 12.0) ** 3,
-                                                         rel=1e-9)
-
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("stepsize = 12\n")
-        assert run_cli(["run", "--config", cfg]) == 2
-        assert "unknown config key" in capsys.readouterr().err
-
-    def test_every_field_parses_to_its_type(self, tmp_path, monkeypatch):
-        values = {"problem": "lp-norm", "d": "3", "p": "2", "eta": "0.5",
-                  "max_iters": "7", "grad_tol": "1e-9",
-                  "r_policy": "residual-inf", "x0": "ones",
-                  "out_path": "t.csv", "solver": "fixed",
-                  "data_path": "system.txt"}
-        assert set(values) == {f.name for f in fields(cli.ExperimentConfig)}
-        expected = cli.ExperimentConfig(
-            problem="lp-norm", d=3, p=2, eta=0.5, max_iters=7, grad_tol=1e-9,
-            r_policy="residual-inf", x0="ones", out_path="t.csv",
-            solver="fixed", data_path="system.txt")
-        seen = []
-
-        def capture(cfg):
-            seen.append(cfg)
-            raise cli.ConfigError("stop before the run")
-
-        monkeypatch.setattr(cli, "build_experiment", capture)
-        path = tmp_path / "exp.cfg"
-        path.write_text("".join(f"{key} = {text}\n"
-                                for key, text in values.items()))
-        assert run_cli(["run", "--config", path]) == 2
-        cfg, = seen
-        assert cfg == expected
-        for key in values:
-            assert type(getattr(cfg, key)) is type(getattr(expected, key)), key
-        path = tmp_path / "exp.cfg"
-        path.write_text("d = 1.5\n")
-        assert run_cli(["run", "--config", path]) == 2
-
-    @pytest.mark.parametrize("line", ["fig1a_eta_p2 = 0.01",
-                                      "fig1a_eta_pzz = junk"])
-    def test_reproduce_key_exits_2(self, tmp_path, capsys, line):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"{line}\n")
-        out = tmp_path / "t.csv"
-        assert run_cli(["run", "--config", cfg, "--out", out]) == 2
-        key = line.split(" = ")[0]
-        assert f"unknown config key: {key}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bad_value_exits_2(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("max_iters = soon\n")
-        assert run_cli(["run", "--config", cfg]) == 2
-
-    def test_malformed_line_exits_2(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("just some words\n")
-        assert run_cli(["run", "--config", cfg]) == 2
+    def test_non_integer_d_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--d", "1.5"])
+        assert exc.value.code == 2
 
 
 class TestUsageErrors:
@@ -290,13 +229,27 @@ class TestUsageErrors:
         assert "grad_tol" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, solver, message", [
+        ("--eta", "3.0", "lfso", "eta must be in (0, 2), got 3.0"),
+        ("--eta", "-1", "fixed", "eta must be positive, got -1.0"),
+        ("--max-iters", "0", "lfso", "max_iters must be >= 1, got 0"),
+        ("--max-iters", "0", "fixed", "max_iters must be >= 1, got 0")])
+    def test_bad_solver_setting_exits_2(self, tmp_path, capsys, flag, value,
+                                        solver, message):
+        # the solvers make these checks before the run writes anything
+        assert run_cli(["run", "--solver", solver, flag, value,
+                        "--out", tmp_path / "x.csv"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("2.5 2\n1 2\n3\n", ":1: first line must be 'n d' with integers "
          "n, d >= 1, got '2.5 2'"),
         ("-1 2\n1 2\n3\n", ":1: first line must be 'n d'"),
         ("0 2\n1 2\n3\n", ":1: first line must be 'n d'"),
         ("2 2\n1 0\n\n0 a\n1 1\n", ":4: could not convert string to float: 'a'"),
-        ("1 2\n1 0\nb\n", ":3: could not convert string to float: 'b'")])
+        ("1 2\n1 0\nb\n", ":3: could not convert string to float: 'b'"),
+        ("1 2\n1 0\nnan\n", ":3: entry 'nan' is not finite")])
     def test_bad_regression_file_names_file_and_line(self, tmp_path, capsys,
                                                      text, message):
         data = tmp_path / "system.txt"
@@ -309,7 +262,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("text, message", [
         ("1\n2 x\n", ":2: could not convert string to float: 'x'"),
-        ("inf", " has an entry that is not finite")])
+        ("inf", ":1: entry 'inf' is not finite")])
     def test_bad_x0_file_names_file(self, tmp_path, capsys, text, message):
         x0 = tmp_path / "start.txt"
         x0.write_text(text)
@@ -423,11 +376,14 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == with_flag
         blocks = [line[1:-1] for line in with_flag.splitlines()
                   if line.startswith("[") and line.endswith("]")]
+        runs = ["run " + cli._suite_label(cfg) for cfg in cli.SUITE_RUNS]
+        assert len(runs) == 11
         timings = json.loads(path.read_text(encoding="utf-8"))
-        assert sorted(timings) == sorted(blocks + ["total"])
+        assert sorted(timings) == sorted(blocks + runs + ["total"])
         assert len(blocks) == len(set(blocks))
         assert all(seconds >= 0.0 for seconds in timings.values())
-        assert timings["total"] >= sum(timings[name] for name in blocks)
+        assert timings["total"] >= sum(seconds for name, seconds
+                                       in timings.items() if name != "total")
 
     def test_timings_unwritable_path_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "timings.json"

@@ -1,5 +1,6 @@
-"""Every ``python`` block of README.md runs, each in a fresh namespace, and
-every ``lfso`` command line of its ``sh`` blocks parses."""
+"""Every ``python`` block of README.md runs, each in a fresh namespace,
+every ``lfso`` command line of its ``sh`` blocks parses, and every flag its
+prose names in backticks is a flag of the CLI."""
 
 import re
 import shlex
@@ -35,3 +36,14 @@ def test_readme_has_command_examples():
 def test_command_line_parses(line):
     # parsing only: a removed flag, subcommand or choice exits 2 here
     cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_prose_names_only_existing_flags():
+    prose = re.sub(r"^```.*?^```", "", TEXT, flags=re.MULTILINE | re.DOTALL)
+    named = {flag for span in re.findall(r"`([^`\n]+)`", prose)
+             for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)}
+    assert named
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    known = {option for sub in subcommands.values()
+             for action in sub._actions for option in action.option_strings}
+    assert sorted(named - known) == []

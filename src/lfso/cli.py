@@ -35,6 +35,14 @@ TRACE_HEADER = "k,f,grad_norm,R,R_tilde,L,step_norm,grad_ratio"
 
 PROBLEMS = ("norm2-pow", "lp-norm", "quartic", "regression-file")
 
+# problem -> the run flags it cannot use, keyed by the field each one sets
+UNUSED_FLAGS = {
+    "norm2-pow": {"data_path": "--data"},
+    "lp-norm": {"data_path": "--data"},
+    "quartic": {"d": "--d", "p": "--p", "data_path": "--data"},
+    "regression-file": {"d": "--d"},
+}
+
 # figure -> (problem, solver, eta, title); eta None takes fig1a's per-p
 # stepsizes.  Every figure runs p in FIGURE_PS at d = 10 from x0 = ones.
 FIGURE_RUNS = {
@@ -70,8 +78,9 @@ class ExperimentConfig:
     data_path: Optional[str] = None
 
     def validate(self) -> None:
-        """The checks no later step makes: argparse already limits problem
-        and solver, and the solvers check eta, max_iters and grad_tol."""
+        """The checks no later step makes: build_experiment and execute
+        reject an unknown problem or solver, and the solvers check eta,
+        max_iters and grad_tol."""
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.p < 1:
@@ -169,11 +178,13 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
         regression, lfso = make_lp_regression(a, b, cfg.p)
         objective = regression.objective()
         d = regression.d
-    else:
+    elif cfg.problem == "quartic":
         quartic = QuarticProblem()
         objective = quartic.objective()
         lfso = quartic.lfso()
         d = 1
+    else:
+        raise ConfigError(f"unknown problem: {cfg.problem!r}")
     policy = _policy_from_selector(cfg.r_policy, cfg.problem,
                                    composition, regression)
     return ExperimentBundle(objective=objective, lfso=lfso, r_policy=policy,
@@ -187,6 +198,8 @@ def execute(cfg: ExperimentConfig, bundle: ExperimentBundle,
         return run_fixed_gd(bundle.objective, bundle.x0, cfg.eta,
                             max_iters=cfg.max_iters, grad_tol=cfg.grad_tol,
                             keep_iterates=keep_iterates)
+    if cfg.solver != "lfso":
+        raise ConfigError(f"unknown solver: {cfg.solver!r}")
     solver_cfg = SolverConfig(r_policy=bundle.r_policy, eta=cfg.eta,
                               max_iters=cfg.max_iters, grad_tol=cfg.grad_tol,
                               use_grad_bound=bundle.regression is not None)
@@ -227,9 +240,12 @@ def summarize_trace(trace: RunTrace, label: str) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
-                              for f in fields(ExperimentConfig)
-                              if getattr(args, f.name) is not None})
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name) is not None}
+    cfg = ExperimentConfig(**given)
+    for name, flag in UNUSED_FLAGS[cfg.problem].items():
+        if name in given:
+            raise ConfigError(f"{flag} does not apply to --problem {cfg.problem}")
     cfg.validate()
     bundle = build_experiment(cfg)
     trace = execute(cfg, bundle)
@@ -389,6 +405,8 @@ def verify_all(seed: int, include_controls: bool = False,
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     timings_file = None
     if args.timings is not None:
         # opened before the suite runs, so a bad path fails fast

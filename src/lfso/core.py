@@ -16,9 +16,9 @@ runs.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -92,91 +92,63 @@ def euclidean_norm_rows(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-class _IterateMemo:
-    """Values derived from one iterate ``x`` and a few fixed operands,
-    remembered for the last ``(operands, x)`` asked about.
-
-    A hit needs the same operand objects and an ``x`` of the same shape,
-    dtype and bytes, so an ``x`` changed in place is recomputed.  The
-    operands are held by weak reference, so the memo keeps none of them
-    alive; operands that take no weak reference are never remembered.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self):
-        # (weakrefs of the operands, key of x, values), read and replaced as
-        # one tuple so concurrent callers never see a torn entry
-        self._entry = None
-
-    def values(self, operands: tuple, x: Vector) -> dict:
-        """The dict of values remembered for ``(operands, x)``: the last
-        entry's on a hit, else a new empty one that replaces it."""
-        key = (x.shape, x.dtype, x.tobytes())
-        entry = self._entry
-        if entry is not None and entry[1] == key:
-            for ref, operand in zip(entry[0], operands):
-                if ref() is not operand:
-                    break
-            else:
-                return entry[2]
-        values = {}
-        try:
-            self._entry = (tuple(map(weakref.ref, operands)), key, values)
-        except TypeError:
-            self._entry = None
-        return values
+# (iterate, values) of the step the running solver is taking; see _descend
+_iterate = contextvars.ContextVar("lfso_iterate", default=(None, None))
 
 
-_residuals = _IterateMemo()
-_inner_grad_norms = _IterateMemo()
+def _per_iterate(compute: Callable, x: Vector, *operands):
+    """``compute(x, *operands)``, formed once per ``compute`` and operand
+    objects while ``x`` is the iterate the running solver is stepping from,
+    else afresh.  An entry holds its operands, so no other object can take
+    their ``id`` while the key lives; the scope ends with the step."""
+    scoped, values = _iterate.get()
+    if scoped is not x:
+        return compute(x, *operands)
+    key = (compute, *map(id, operands))
+    entry = values.get(key)
+    if entry is None:
+        entry = values[key] = (operands, compute(x, *operands))
+    return entry[1]
 
 
-def _residual_values(a: np.ndarray, b: Vector, x: Vector) -> dict:
-    values = _residuals.values((a, b), x)
-    if "r" not in values:
-        r = a @ x - b
-        r.setflags(write=False)
-        values["r"] = r
-    return values
+def _residual(x: Vector, a: np.ndarray, b: Vector) -> Vector:
+    r = a @ x - b
+    r.setflags(write=False)
+    return r
+
+
+def _residual_inf(x: Vector, a: np.ndarray, b: Vector) -> float:
+    return float(np.abs(residual(a, b, x)).max())
+
+
+def _inner_grad_norm(x: Vector, grad_g: Callable[[Vector], Vector]) -> float:
+    return euclidean_norm(grad_g(x))
 
 
 def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
-    """``A x - b``, remembered for the last ``(A, b, x)`` asked about.
+    """``A x - b`` as a read-only array.
 
     The objective, gradient, gradient-norm bound, oracle and radius policy
     of a regression problem all read the residual of the same iterate, so
-    one product with A serves them all.  A repeat call returns the
-    remembered (read-only) array when ``a`` and ``b`` are the same objects
-    and ``x`` has the same shape, dtype and bytes; the key is the value of
-    ``x``, so an ``x`` changed in place is recomputed.  ``a`` and ``b`` must
-    not change in place while in use.  They are held by weak reference, so
-    the memo keeps no matrix alive.
+    while a solver steps from ``x`` one product with A serves every call
+    with the same ``a`` and ``b`` objects; any other call computes it.
+    ``a`` and ``b`` must not change in place while in use.
     """
-    return _residual_values(a, b, np.asarray(x))["r"]
+    return _per_iterate(_residual, np.asarray(x), a, b)
 
 
 def residual_inf(a: np.ndarray, b: Vector, x: Vector) -> float:
-    """``||A x - b||_inf``, remembered with :func:`residual` in the same
-    memo entry, so the gradient-norm bound, the oracle and the radius
-    policy of one iterate scan the residual once."""
-    values = _residual_values(a, b, np.asarray(x))
-    if "inf" not in values:
-        values["inf"] = float(np.abs(values["r"]).max())
-    return values["inf"]
+    """``||A x - b||_inf``, shared like :func:`residual`, so the
+    gradient-norm bound, the oracle and the radius policy of one iterate
+    scan the residual once."""
+    return _per_iterate(_residual_inf, np.asarray(x), a, b)
 
 
 def inner_grad_norm(grad_g: Callable[[Vector], Vector], x: Vector) -> float:
-    """``||grad_g(x)||_2``, remembered for the last ``(grad_g, x)`` by the
-    same kind of memo as :func:`residual`, so the grad-g-norm radius policy
-    and both oracle calls of a composition iteration form it once.
-    ``grad_g`` must be a pure function of ``x``; it is held by weak
-    reference."""
-    x = np.asarray(x)
-    values = _inner_grad_norms.values((grad_g,), x)
-    if "norm" not in values:
-        values["norm"] = euclidean_norm(grad_g(x))
-    return values["norm"]
+    """``||grad_g(x)||_2``, shared like :func:`residual`, so the grad-g-norm
+    radius policy and both oracle calls of a composition iteration form it
+    once.  ``grad_g`` must be a pure function of ``x``."""
+    return _per_iterate(_inner_grad_norm, np.asarray(x), grad_g)
 
 
 @dataclass(frozen=True)
@@ -433,7 +405,9 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
              grad_tol: float, keep_iterates: bool) -> RunTrace:
     """The iteration both solvers share.  Each iterate is evaluated once;
     ``rule(x, g, grad_norm)`` returns the step and the record's step fields
-    in :class:`IterationRecord` order, from ``r_k`` on.
+    in :class:`IterationRecord` order, from ``r_k`` on.  Each step scopes
+    the values that :func:`residual` and its kin share to its iterate; the
+    caller's scope comes back when the run returns or raises.
     The evaluation of the last iterate gives the final values.  Once
     ``max_iters`` steps are taken the run stops on the budget, whatever the
     gradient at the last iterate.  An iterate is compared with the one
@@ -447,38 +421,44 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
     iterates = [x.copy()] if keep_iterates else None
     termination = Termination.MAX_ITERATIONS
     last_x, last_grad_norm = None, math.nan
-    for k in range(max_iters + 1):
-        try:
-            g = _call(problem.grad, x, "gradient")
-            grad_norm = _checked(euclidean_norm(g), "gradient norm")
-            f_val = _checked(_call(problem.eval, x, "objective"), "objective value")
-            if k == max_iters:
-                break
-            if grad_norm == 0.0:
-                termination = rule.stationary(x)
-                break
-            if grad_norm <= grad_tol:
-                termination = Termination.GRADIENT_TOLERANCE
-                break
-            if grad_norm < _NORMAL_FLOOR:
-                termination = Termination.GRADIENT_UNDERFLOW
-                break
-            if grad_norm == last_grad_norm and np.array_equal(x, last_x):
-                termination = Termination.STALLED
-                break
-            step, fields = rule(x, g, grad_norm)
-            next_x = x - step
-            if not np.isfinite(next_x).all():
-                raise NonFiniteValueError("next iterate is not finite")
-        except NonFiniteValueError as exc:
-            if rule.diverged is None:
-                raise
-            raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
-        records.append(IterationRecord(k, f_val, grad_norm, *fields))
-        last_x, last_grad_norm = x, grad_norm
-        x = next_x
-        if keep_iterates:
-            iterates.append(x.copy())
+    scope = _iterate.set((None, None))
+    try:
+        for k in range(max_iters + 1):
+            _iterate.set((x, {}))
+            try:
+                g = _call(problem.grad, x, "gradient")
+                grad_norm = _checked(euclidean_norm(g), "gradient norm")
+                f_val = _checked(_call(problem.eval, x, "objective"),
+                                 "objective value")
+                if k == max_iters:
+                    break
+                if grad_norm == 0.0:
+                    termination = rule.stationary(x)
+                    break
+                if grad_norm <= grad_tol:
+                    termination = Termination.GRADIENT_TOLERANCE
+                    break
+                if grad_norm < _NORMAL_FLOOR:
+                    termination = Termination.GRADIENT_UNDERFLOW
+                    break
+                if grad_norm == last_grad_norm and np.array_equal(x, last_x):
+                    termination = Termination.STALLED
+                    break
+                step, fields = rule(x, g, grad_norm)
+                next_x = x - step
+                if not np.isfinite(next_x).all():
+                    raise NonFiniteValueError("next iterate is not finite")
+            except NonFiniteValueError as exc:
+                if rule.diverged is None:
+                    raise
+                raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
+            records.append(IterationRecord(k, f_val, grad_norm, *fields))
+            last_x, last_grad_norm = x, grad_norm
+            x = next_x
+            if keep_iterates:
+                iterates.append(x.copy())
+    finally:
+        _iterate.reset(scope)
     return RunTrace(records=records, final_x=x, termination=termination,
                     final_f=f_val, final_grad_norm=grad_norm,
                     iterates=iterates, algorithm=rule.algorithm)

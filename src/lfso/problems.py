@@ -108,7 +108,8 @@ class LpRegressionProblem:
         return self.cond ** 4 < self.n / (self.n - 1)
 
     def residual(self, x: Vector) -> Vector:
-        """``A x - b`` (read-only), shared through :func:`lfso.core.residual`."""
+        """``A x - b`` (read-only), shared within a solver step by
+        :func:`lfso.core.residual`."""
         return residual(self.a, self.b, x)
 
     def residual_rows(self, xs: np.ndarray) -> np.ndarray:
@@ -189,14 +190,15 @@ def make_lp_regression(a: np.ndarray, b, p: int):
     Structure constants (max row norm, ||A||_2, condition number) are
     computed once here and cached on the problem, whose ``bound_coef``,
     ``coef`` and ``row_pow`` every reader takes; a max row norm or Gram
-    matrix that is not finite raises :class:`NonFiniteValueError`.  The objective, gradient,
-    gradient-norm bound, oracle and ``RPolicy.residual_inf_norm`` read the
-    residual ``Ax - b`` through :func:`lfso.core.residual`, so one iterate
-    costs one product with A and one with A^T.  Both the cached constants
-    and the shared residual assume that A and b do not change in place
-    while the problem is in use.  ``theory_ok`` on the problem says whether
-    the conditioning requirement for the Q-linear guarantee holds; the
-    solver runs either way.
+    matrix that is not finite raises :class:`NonFiniteValueError`.  The
+    objective, gradient, gradient-norm bound, oracle and
+    ``RPolicy.residual_inf_norm`` read the residual ``Ax - b`` through
+    :func:`lfso.core.residual`, which the solver shares across one step, so
+    one iterate costs one product with A and one with A^T.  Both the cached
+    constants and the shared residual assume that A and b do not change in
+    place while the problem is in use.  ``theory_ok`` on the problem says
+    whether the conditioning requirement for the Q-linear guarantee holds;
+    the solver runs either way.
     """
     a = np.asarray(a, dtype=np.float64)
     b = as_vector(b)

@@ -98,9 +98,8 @@ def _rows_differing(scalar: np.ndarray, rows: np.ndarray) -> int:
 def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
                    picks: np.ndarray) -> np.ndarray:
     """Row j holds grad f(x), f(x), L(x, R) and f(y) of sample ``picks[j]``
-    from the scalar callables, called in that order: every value at x
-    before the one at y, so the per-iterate memo of lfso.core serves x's
-    gradient, value and oracle from one entry."""
+    from the scalar callables, called in the order
+    :func:`check_lfso_validity` states."""
     values = np.empty((len(picks), problem.dim + 3))
     for row, i in zip(values, picks.tolist()):
         x = xs[i]
@@ -497,8 +496,8 @@ def check_regression_qlinear(problem: LpRegressionProblem, trace: RunTrace,
     """Measure the worst per-step residual contraction ratio
     rho = max_k ||r_{k+1}||_2 / ||r_k||_2 over a regression trace and
     require rho < 1.  Needs the stored iterates; their residuals come from
-    one pass over A, not from :func:`lfso.core.residual`, so the check
-    leaves the solver's memo entry in place.
+    one pass over A in column blocks (:func:`_residual_norms`), not from one
+    :func:`lfso.core.residual` per iterate.
 
     Raises :class:`AssumptionUnmetError` when the conditioning requirement
     cond(A)^4 < n/(n-1) fails, since the guarantee does not apply.

@@ -272,6 +272,41 @@ class TestUsageErrors:
         assert f"{x0}{message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, flag, value", [
+        ("quartic", "--d", "5"),
+        ("quartic", "--p", "3"),
+        ("quartic", "--data", "missing.txt"),
+        ("regression-file", "--d", "3"),
+        ("norm2-pow", "--data", "missing.txt"),
+        ("lp-norm", "--data", "missing.txt")])
+    def test_flag_the_problem_cannot_use_exits_2(self, tmp_path, capsys,
+                                                  problem, flag, value):
+        # named before any file is read: --data names a file that is absent
+        if flag == "--data":
+            value = tmp_path / value
+        args = ["run", "--problem", problem, flag, value,
+                "--out", tmp_path / "x.csv"]
+        if problem == "regression-file":
+            data = tmp_path / "system.txt"
+            data.write_text("1 2\n1 0\n1\n")
+            args += ["--data", data]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} does not apply to --problem {problem}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("r_policy", ["default", "constant:0.1"])
+    def test_library_unknown_problem_raises(self, r_policy):
+        cfg = cli.ExperimentConfig(problem="banana", r_policy=r_policy)
+        with pytest.raises(cli.ConfigError, match="unknown problem: 'banana'"):
+            cli.build_experiment(cfg)
+
+    def test_library_unknown_solver_raises(self):
+        cfg = cli.ExperimentConfig(solver="slow", max_iters=3)
+        bundle = cli.build_experiment(cfg)
+        with pytest.raises(cli.ConfigError, match="unknown solver: 'slow'"):
+            cli.execute(cfg, bundle)
+
     def test_run_takes_no_seed(self, capsys):
         # run draws no random numbers; only verify takes a seed
         with pytest.raises(SystemExit) as exc:
@@ -391,6 +426,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "timings.json" in captured.err
+
+    def test_negative_seed_exits_2_before_timings_opened(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "timings.json"
+        assert run_cli(["verify", "--seed", "-1", "--timings", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --seed must be >= 0, got -1" in captured.err
+        assert not path.exists()
 
     def test_controls_suite_builds_and_runs_through_cli_names(self, monkeypatch,
                                                               capsys):

@@ -14,11 +14,11 @@ import pytest
 
 import lfso
 import lfso.problems as problems_module
-from lfso.core import (GradientOracle, RPolicy, SolverConfig, euclidean_norm,
-                       inner_grad_norm, residual, residual_inf, row_dots,
-                       run_lfso_gd)
+from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
+                       euclidean_norm, inner_grad_norm, residual, residual_inf,
+                       row_dots, run_lfso_gd)
 from lfso.errors import (NegativeCurvatureError, NonFiniteValueError,
-                         ShapeMismatchError, ZeroResidualError)
+                         ShapeMismatchError, ZeroOracleError, ZeroResidualError)
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
                           ipow)
 from lfso.problems import (CompositionProblem, QuarticProblem, condition_number,
@@ -683,6 +683,56 @@ class TestSharedResidual:
         evaluated = trace.num_steps + 1
         assert counts == {"forward": evaluated, "transpose": evaluated}
 
+    def test_raising_run_leaves_no_scope(self):
+        # the radius policy reads the step's residual, then the zero oracle
+        # raises; afterwards the same x gets a residual of its own
+        problem, _, _ = self.build()
+        seen = []
+
+        def radius(x):
+            seen.append((x, problem.residual(x)))
+            return 1.0
+
+        config = SolverConfig(r_policy=RPolicy.callback(radius), max_iters=3)
+        with pytest.raises(ZeroOracleError):
+            run_lfso_gd(Lfso(eval=lambda x, r: 0.0), problem.objective(),
+                        np.zeros(problem.d), config)
+        (x, r), = seen
+        again = problem.residual(x)
+        assert again is not r
+        assert np.array_equal(again, r)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="needs BINARY_OP and instruction positions")
+    def test_nested_run_in_policy_keeps_the_outer_scope(self):
+        # a radius policy that runs a composition solve at every outer step
+        # changes neither the outer trace nor its products per iterate
+        problem, oracle, _ = self.build(n=6, d=9)
+        a, b = problem.a, problem.b
+        inner, inner_oracle = TestSharedInnerGradNorm.build()
+        inner_config = SolverConfig(r_policy=RPolicy.grad_g_norm(inner.g.grad),
+                                    max_iters=2)
+        nested = []
+
+        def radius(x):
+            nested.append(run_lfso_gd(inner_oracle, inner.objective(),
+                                      np.ones(6), inner_config).num_steps)
+            return residual_inf(a, b, x)
+
+        def run(policy):
+            config = SolverConfig(r_policy=policy, max_iters=6,
+                                  use_grad_bound=True)
+            return run_lfso_gd(oracle, problem.objective(),
+                               np.zeros(problem.d), config)
+
+        plain = run(RPolicy.residual_inf_norm(a, b))
+        trace, counts = count_products(lambda: run(RPolicy.callback(radius)))
+        assert nested == [2] * 6
+        assert (TestConcurrentRuns.fingerprint(trace)
+                == TestConcurrentRuns.fingerprint(plain))
+        evaluated = trace.num_steps + 1
+        assert counts == {"forward": evaluated, "transpose": evaluated}
+
 
 class TestSharedInnerGradNorm:
     """One ||grad g(x)|| per iterate, shared by the grad-g-norm radius and
@@ -724,8 +774,8 @@ class TestSharedInnerGradNorm:
             assert inner_grad_norm(grad, x) == euclidean_norm(factor * x)
 
     def test_gradient_without_weak_references_is_not_remembered(self):
-        # g(x) = ||x||^2 / 2 has grad g = np.positive, a ufunc, which takes
-        # no weak reference: each call computes the norm afresh
+        # g(x) = ||x||^2 / 2 has grad g = np.positive, a ufunc; outside a
+        # solver step each call computes the norm afresh
         x = np.arange(1.0, 7.0)
         assert inner_grad_norm(np.positive, x) == euclidean_norm(x)
         x[0] = 50.0
@@ -777,8 +827,8 @@ class TestSharedInnerGradNorm:
 
 
 class TestConcurrentRuns:
-    """The memo holds one module-level entry per kind, so runs in threads
-    evict each other's entry; their results must not change."""
+    """Each run scopes its shared values to its own thread's context, so
+    runs in threads share none of them; their results must not change."""
 
     @staticmethod
     def runs():
@@ -817,7 +867,7 @@ class TestConcurrentRuns:
             return self.fingerprint(run_lfso_gd(*run))
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, so entries are evicted
+        sys.setswitchinterval(1e-5)  # switch threads often, so steps interleave
         try:
             with ThreadPoolExecutor(max_workers=len(runs)) as pool:
                 concurrent = list(pool.map(solve, runs))

@@ -633,12 +633,6 @@ class TestRegressionQlinear:
         assert blocks < len(trace.iterates)
         assert counts == {"forward": blocks}
 
-    def test_solver_memo_entry_kept(self):
-        problem, trace = self.wide_trace()
-        before = problem.residual(trace.final_x)
-        check_regression_qlinear(problem, trace)
-        assert problem.residual(trace.final_x) is before
-
     def test_tampered_iterate_flagged(self):
         problem, trace = self.lp_trace(2)
         trace.iterates[5] = 2.0 * trace.iterates[5]

@@ -35,12 +35,13 @@ TRACE_HEADER = "k,f,grad_norm,R,R_tilde,L,step_norm,grad_ratio"
 
 PROBLEMS = ("norm2-pow", "lp-norm", "quartic", "regression-file")
 
-# problem -> the run flags it cannot use, keyed by the field each one sets
+# (option, value) -> the run flags it leaves unused, by the field each sets
 UNUSED_FLAGS = {
-    "norm2-pow": {"data_path": "--data"},
-    "lp-norm": {"data_path": "--data"},
-    "quartic": {"d": "--d", "p": "--p", "data_path": "--data"},
-    "regression-file": {"d": "--d"},
+    ("problem", "norm2-pow"): {"data_path": "--data"},
+    ("problem", "lp-norm"): {"data_path": "--data"},
+    ("problem", "quartic"): {"d": "--d", "p": "--p", "data_path": "--data"},
+    ("problem", "regression-file"): {"d": "--d"},
+    ("solver", "fixed"): {"r_policy": "--r-policy"},
 }
 
 # figure -> (problem, solver, eta, title); eta None takes fig1a's per-p
@@ -243,9 +244,10 @@ def cmd_run(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name) is not None}
     cfg = ExperimentConfig(**given)
-    for name, flag in UNUSED_FLAGS[cfg.problem].items():
-        if name in given:
-            raise ConfigError(f"{flag} does not apply to --problem {cfg.problem}")
+    for (option, value), unused in UNUSED_FLAGS.items():
+        for name, flag in unused.items():
+            if name in given and getattr(cfg, option) == value:
+                raise ConfigError(f"{flag} does not apply to --{option} {value}")
     cfg.validate()
     bundle = build_experiment(cfg)
     trace = execute(cfg, bundle)

@@ -320,22 +320,12 @@ def _checked(value: float, what: str) -> float:
     return value
 
 
-def _call(fn: Callable, x: Vector, what: str):
-    """Invoke a problem callback, mapping Python float overflow to the
-    package's divergence error."""
-    try:
-        return fn(x)
-    except OverflowError as exc:
-        raise NonFiniteValueError(f"{what} overflowed: {exc}") from exc
-
-
 class _OracleStep:
     """Step rule of the oracle-driven solver: the radius policy gives R_k,
     which is inflated to R~_k so the step stays inside B(x_k, R~_k), and the
     step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``."""
 
     algorithm = "lfso"
-    diverged = None
 
     def __init__(self, oracle: Lfso, problem: GradientOracle,
                  config: SolverConfig):
@@ -397,9 +387,6 @@ class _FixedStep:
     def stationary(self, x: Vector) -> Termination:
         return Termination.STATIONARY_EXACT
 
-    def diverged(self, k: int) -> str:
-        return f"fixed-step iteration diverged at k={k} (eta={self.eta})"
-
 
 def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
              grad_tol: float, keep_iterates: bool) -> RunTrace:
@@ -426,10 +413,9 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
         for k in range(max_iters + 1):
             _iterate.set((x, {}))
             try:
-                g = _call(problem.grad, x, "gradient")
+                g = problem.grad(x)
                 grad_norm = _checked(euclidean_norm(g), "gradient norm")
-                f_val = _checked(_call(problem.eval, x, "objective"),
-                                 "objective value")
+                f_val = _checked(problem.eval(x), "objective value")
                 if k == max_iters:
                     break
                 if grad_norm == 0.0:
@@ -448,10 +434,10 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
                 next_x = x - step
                 if not np.isfinite(next_x).all():
                     raise NonFiniteValueError("next iterate is not finite")
-            except NonFiniteValueError as exc:
-                if rule.diverged is None:
-                    raise
-                raise NonFiniteValueError(f"{rule.diverged(k)}: {exc}") from exc
+            except (NonFiniteValueError, OverflowError) as exc:
+                why = f"overflow {exc}" if isinstance(exc, OverflowError) else exc
+                raise NonFiniteValueError(f"{rule.algorithm} iteration "
+                                          f"diverged at k={k}: {why}") from exc
             records.append(IterationRecord(k, f_val, grad_norm, *fields))
             last_x, last_grad_norm = x, grad_norm
             x = next_x
@@ -475,7 +461,9 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
     ``keep_iterates`` stores every iterate on the trace, final point
     included; the composition and Q-linear checks read them.  Raises
     ``ValueError`` when ``config.use_grad_bound`` is set and ``problem``
-    has no ``grad_norm_bound``.
+    has no ``grad_norm_bound``, and :class:`NonFiniteValueError`, naming
+    k, when the objective, gradient, gradient-norm bound, radius policy
+    or oracle gives a non-finite value or raises ``OverflowError``.
     """
     if config.use_grad_bound and problem.grad_norm_bound is None:
         raise ValueError("use_grad_bound needs an objective with a "
@@ -489,8 +477,10 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
                  keep_iterates: bool = False) -> RunTrace:
     """Fixed-stepsize baseline ``x_{k+1} = x_k - eta * grad f(x_k)``.
 
-    Raises :class:`NonFiniteValueError` if the iteration diverges.  Trace
-    rows use the sentinel ``r_k = r_tilde_k = 0`` and ``l_k = 1/eta``.
+    Raises :class:`NonFiniteValueError`, naming k, if the iteration
+    diverges: the objective, gradient or next iterate is not finite, or
+    the objective or gradient raises ``OverflowError``.  Trace rows use the
+    sentinel ``r_k = r_tilde_k = 0`` and ``l_k = 1/eta``.
     """
     if not (eta > 0 and np.isfinite(eta)):
         raise ValueError(f"eta must be positive, got {eta}")

@@ -7,7 +7,6 @@ non-decreasing in ``R``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -109,10 +108,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
             raise NegativeCurvatureError(
                 f"h'' evaluated negative ({hpp}) at t={u}; "
                 "the outer function must be convex")
-        value = hpp * v + float(h_prime(u)) * l_g
-        if not math.isfinite(value):
-            raise NonFiniteValueError(f"composition oracle value is {value}")
-        return value
+        return hpp * v + float(h_prime(u)) * l_g
 
     if g.grad_rows is None:
         return Lfso(eval=evaluate)
@@ -128,10 +124,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
             raise NegativeCurvatureError(
                 f"h'' evaluated negative ({hpp[i]}) at t={u[i]}; "
                 "the outer function must be convex")
-        values = hpp * v + each_float(h_prime, u) * l_g
-        if not np.isfinite(values).all():
-            raise NonFiniteValueError("composition oracle value is not finite")
-        return values
+        return hpp * v + each_float(h_prime, u) * l_g
 
     return Lfso(eval=evaluate, eval_rows=evaluate_rows)
 
@@ -151,17 +144,7 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
     def value(res_inf, r):
         return coef * (ipow(res_inf, k) + row_pow * ipow(r, k))
 
-    def evaluate(x: Vector, r: float) -> float:
-        result = value(residual_inf(a, b, x), float(r))
-        if not math.isfinite(result):
-            raise NonFiniteValueError(f"regression oracle value is {result}")
-        return result
-
-    def evaluate_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        values = value(np.abs(problem.residual_rows(xs)).max(axis=1), radii)
-        if not np.isfinite(values).all():
-            raise NonFiniteValueError("regression oracle value is not finite")
-        return values
-
-    return Lfso(eval=evaluate, eval_rows=evaluate_rows)
+    return Lfso(eval=lambda x, r: value(residual_inf(a, b, x), float(r)),
+                eval_rows=lambda xs, radii: value(
+                    np.abs(problem.residual_rows(xs)).max(axis=1), radii))
 

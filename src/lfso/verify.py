@@ -88,11 +88,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _rows_differing(scalar: np.ndarray, rows: np.ndarray) -> int:
-    """How many rows of two float64 arrays differ in any bit (so 0.0
+def _rows_differing(scalar: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of two float64 arrays differs in any bit (so 0.0
     differs from -0.0, and a NaN equals the same NaN)."""
-    return int(np.count_nonzero(
-        (scalar.view(np.uint64) != rows.view(np.uint64)).any(axis=1)))
+    return (scalar.view(np.uint64) != rows.view(np.uint64)).any(axis=1)
 
 
 def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
@@ -151,14 +150,16 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     Each sample with y != x calls grad f(x), f(x), L(x, R) and f(y), in
     that order.  When the objective has ``eval_rows`` and ``grad_rows`` and
     the oracle has ``eval_rows``, the samples are evaluated as rows instead,
-    and a stride of them also through the scalar callables: each sample
-    whose values differ in any bit counts as a violation.
+    and a stride of them also through the scalar callables: a sample whose
+    values differ in any bit is a violation.  So is a sample with y != x
+    any of whose values is NaN or infinite.  ``violations`` counts each
+    failing sample once, so it never exceeds ``spec.num_points``.
     """
     xs, radii, ys = _validity_samples(spec, problem.dim)
     diffs = ys - xs
     dist_sq = row_dots(diffs, diffs)
     kept = dist_sq != 0.0
-    violations = 0
+    failed = np.zeros(spec.num_points, dtype=bool)
     if (problem.eval_rows is None or problem.grad_rows is None
             or oracle.eval_rows is None):
         values = _scalar_values(problem, oracle, xs, radii, ys,
@@ -169,7 +170,7 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
             oracle.eval_rows(xs, np.array(radii)),
             problem.eval_rows(ys))).astype(np.float64, copy=False)
         picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
-        violations = _rows_differing(
+        failed[picks] = _rows_differing(
             _scalar_values(problem, oracle, xs, radii, ys, picks), values[picks])
         values = values[kept]
     lin = row_dots(values[:, :-3], diffs[kept])
@@ -181,8 +182,9 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     noise = 8.0 * eps * (np.abs(fx) + np.abs(fy) + np.abs(lin)) + 1e-300
     # like a running max(worst, ratio) from 0.0, a NaN ratio is never the worst
     worst_ratio = float(np.fmax.reduce(lhs / (rhs + noise), initial=0.0))
-    violations += int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10) + noise))
-    return CheckReport(name=name, violations=violations, stats={
+    failed[kept] |= (~np.isfinite(values).all(axis=1)
+                     | (lhs > rhs * (1.0 + 1e-10) + noise))
+    return CheckReport(name=name, violations=int(failed.sum()), stats={
         "generator": GENERATOR_ID,
         "seed": spec.seed,
         "samples": spec.num_points,
@@ -196,10 +198,11 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
     """On sampled x and an increasing radius grid, require
     L(x, R_i) <= L(x, R_{i+1}) * (1 + 1e-14).
 
-    An oracle with ``eval_rows`` is evaluated at all samples per grid
-    radius, and a stride of the samples is also evaluated through
-    ``oracle.eval``; each sample whose values differ in any bit counts as
-    a violation."""
+    Each drop is a violation.  An oracle with ``eval_rows`` is evaluated
+    at all samples per grid radius, and a stride of the samples is also
+    evaluated through ``oracle.eval``; each sample whose values differ in
+    any bit counts as one violation.  So does each sample with a NaN or
+    infinite value on the grid, whose drops are not counted as well."""
     rng = np.random.default_rng(spec.seed)
     low, high = spec.x_box
     grid = np.geomspace(spec.r_range[0], spec.r_range[1], grid_size).tolist()
@@ -209,7 +212,7 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
         return np.array([[oracle.eval(x, r) for r in grid] for x in points],
                         dtype=np.float64)
 
-    violations = 0
+    failed = np.zeros(spec.num_points, dtype=bool)
     if oracle.eval_rows is None:
         values = scalar_values(xs)
     else:
@@ -217,10 +220,11 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
             oracle.eval_rows(xs, np.full(len(xs), r))
             for r in grid]).astype(np.float64, copy=False)
         picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
-        violations = _rows_differing(scalar_values(xs[picks]), values[picks])
+        failed[picks] = _rows_differing(scalar_values(xs[picks]), values[picks])
+    non_finite = ~np.isfinite(values).all(axis=1)
     lo_vals, hi_vals = values[:, :-1], values[:, 1:]
-    drops = lo_vals > hi_vals * (1.0 + 1e-14)
-    violations += int(np.count_nonzero(drops))
+    drops = (lo_vals > hi_vals * (1.0 + 1e-14)) & ~non_finite[:, None]
+    violations = int(np.count_nonzero(failed | non_finite) + drops.sum())
     worst_drop = float(np.max(lo_vals[drops] - hi_vals[drops], initial=0.0))
     return CheckReport(name=name, violations=violations, stats={
         "generator": GENERATOR_ID,

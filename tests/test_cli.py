@@ -220,6 +220,27 @@ class TestUsageErrors:
                             "--out", tmp_path / "x.csv"]) == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_overflowing_oracle_exits_2(self, tmp_path, capsys):
+        # the quartic oracle squares R = 1e200, a Python float overflow
+        out = tmp_path / "x.csv"
+        assert run_cli(["run", "--problem", "quartic", "--r-policy",
+                        "constant:1e200", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lfso iteration diverged at k=0: overflow ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem, r_policy", [
+        ("quartic", "constant:0.5"), ("norm2-pow", "residual-inf")])
+    def test_r_policy_with_fixed_solver_exits_2(self, tmp_path, capsys,
+                                                 problem, r_policy):
+        out = tmp_path / "x.csv"
+        assert run_cli(["run", "--problem", problem, "--solver", "fixed",
+                        "--r-policy", r_policy, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: --r-policy does not apply to --solver fixed" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("solver", ["lfso", "fixed"])
     @pytest.mark.parametrize("grad_tol", ["-1", "nan"])
     def test_bad_grad_tol_exits_2(self, tmp_path, capsys, solver, grad_tol):

@@ -125,7 +125,9 @@ class TestLfsoStep:
     def test_oracle_overflow_raises(self):
         problem, _ = quadratic(2)
         bad = Lfso(eval=lambda x, r: float("inf"))
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(NonFiniteValueError, match=(
+                r"^lfso iteration diverged at k=0: "
+                r"oracle value L\(x, R_k\) is not finite: inf$")):
             one_step(bad, problem, np.ones(2), 0.1)
 
 
@@ -421,7 +423,8 @@ class TestRunFixedGd:
     def test_divergence_raises(self):
         problem = GradientOracle(dim=1, eval=lambda x: float(x[0]) ** 2,
                                  grad=lambda x: 2.0 * x)
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(NonFiniteValueError,
+                           match="^fixed iteration diverged at k="):
             run_fixed_gd(problem, np.array([1.0]), 10.0, max_iters=1000)
 
     def test_sentinel_trace_conventions(self):
@@ -444,6 +447,64 @@ class TestRunFixedGd:
         problem, _ = quadratic(2)
         with pytest.raises(ValueError, match="grad_tol"):
             run_fixed_gd(problem, np.ones(2), 0.1, grad_tol=grad_tol)
+
+
+def overflowing_below(threshold, fn):
+    """``fn``, except that at an x with x[0] < threshold it overflows a
+    Python float, as ``float(r) ** 2`` does for a huge r."""
+    def wrapped(x, *radius):
+        if x[0] < threshold:
+            return math.exp(1e4)
+        return fn(x, *radius)
+    return wrapped
+
+
+class TestNonFiniteStep:
+    """A non-finite value or a float overflow in any callback ends a run of
+    either solver in one NonFiniteValueError naming the solver and k.  On
+    ||x||^2 both runs below halve x from ones, so x_2 = 0.25 is the first
+    iterate below 0.3."""
+
+    @pytest.mark.parametrize("part", ["eval", "grad", "bound", "policy",
+                                      "oracle"])
+    def test_lfso_overflow_names_k(self, part):
+        problem, _ = quadratic(2)
+        parts = {"eval": problem.eval, "grad": problem.grad,
+                 "bound": lambda x: 2.0 * euclidean_norm(x),
+                 "policy": lambda x: 1.0, "oracle": lambda x, r: 2.0}
+        parts[part] = overflowing_below(0.3, parts[part])
+        objective = GradientOracle(dim=2, eval=parts["eval"],
+                                   grad=parts["grad"],
+                                   grad_norm_bound=parts["bound"])
+        config = SolverConfig(r_policy=RPolicy.callback(parts["policy"]),
+                              eta=0.5, use_grad_bound=True)
+        with pytest.raises(NonFiniteValueError,
+                           match="^lfso iteration diverged at k=2: overflow "):
+            run_lfso_gd(Lfso(eval=parts["oracle"]), objective, np.ones(2),
+                        config)
+
+    @pytest.mark.parametrize("part", ["eval", "grad"])
+    def test_fixed_overflow_names_k(self, part):
+        problem, _ = quadratic(2)
+        parts = {"eval": problem.eval, "grad": problem.grad}
+        parts[part] = overflowing_below(0.3, parts[part])
+        with pytest.raises(NonFiniteValueError,
+                           match="^fixed iteration diverged at k=2: overflow "):
+            run_fixed_gd(GradientOracle(dim=2, **parts), np.ones(2), 0.25)
+
+    @pytest.mark.parametrize("family", ["norm2-pow", "lp-norm"])
+    def test_structured_oracle_overflow_raises(self, family):
+        # at R = 1e100 both p = 3 oracles hold a term near 1e400, which is
+        # inf in float64; the step's own check catches it
+        if family == "norm2-pow":
+            problem, oracle = make_norm_power(4, 3)
+        else:
+            problem, oracle = make_lp_regression(np.eye(4), np.zeros(4), 3)
+        config = SolverConfig(r_policy=RPolicy.constant(1e100))
+        with pytest.raises(NonFiniteValueError, match=(
+                r"^lfso iteration diverged at k=0: "
+                r"oracle value L\(x, R_k\) is not finite: inf$")):
+            run_lfso_gd(oracle, problem.objective(), np.ones(4), config)
 
 
 class TestConfigAndTypes:

@@ -343,6 +343,67 @@ class TestMonotoneCheck:
         assert report.violations > 0
 
 
+class TestNonFiniteSamples:
+    """A NaN or infinite value fails the sampling checks, on the row and the
+    scalar path alike, and no sample is counted twice."""
+
+    @staticmethod
+    def oracle(scalar, rows, with_rows):
+        return Lfso(eval=scalar, eval_rows=rows if with_rows else None)
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    @pytest.mark.parametrize("value, row_value", [
+        (math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+        # rows inf where the scalar form gives NaN: the cross-checked
+        # samples both differ and are non-finite, and still count once
+        (math.nan, math.inf)])
+    def test_constant_non_finite_oracle_fails_each_sample_once(
+            self, value, row_value, with_rows):
+        objective = SUITE_PAIRS["quadratic+constant"][0]
+        oracle = self.oracle(lambda x, r: value,
+                             lambda xs, radii: np.full(len(xs), row_value),
+                             with_rows)
+        report = check_lfso_validity(objective, oracle,
+                                     SampleSpec(num_points=200, seed=0))
+        assert report.violations == 200
+        report = check_monotone_in_R(oracle, SampleSpec(num_points=32, seed=0),
+                                     objective.dim)
+        assert report.violations == 32
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    def test_non_finite_sample_drops_are_not_counted(self, with_rows):
+        # max(1, 2 - R) drops at 9 of the 11 grid steps; samples with
+        # x[0] > 1 turn inf at R > 1.5 and count once instead
+        def scalar(x, r):
+            return math.inf if x[0] > 1.0 and r > 1.5 else max(1.0, 2.0 - r)
+
+        def rows(xs, radii):
+            return np.where((xs[:, 0] > 1.0) & (radii > 1.5), math.inf,
+                            np.maximum(1.0, 2.0 - radii))
+
+        oracle = self.oracle(scalar, rows, with_rows)
+        spec = SampleSpec(num_points=40, seed=3)
+        xs = np.random.default_rng(spec.seed).uniform(
+            spec.x_box[0], spec.x_box[1], (spec.num_points, 2))
+        blown = int(np.count_nonzero(xs[:, 0] > 1.0))
+        assert 0 < blown < spec.num_points
+        report = check_monotone_in_R(oracle, spec, 2)
+        assert report.violations == blown + 9 * (spec.num_points - blown)
+
+    def test_non_finite_objective_fails_its_samples(self):
+        # f is NaN at every point with x[0] > 1, whether at x or at y
+        objective = GradientOracle(
+            dim=2, eval=lambda x: math.nan if x[0] > 1.0 else float(x @ x),
+            grad=lambda x: 2.0 * x)
+        spec = SampleSpec(num_points=300, seed=1)
+        xs, _, ys = verify._validity_samples(spec, 2)
+        blown = int(np.count_nonzero((xs[:, 0] > 1.0) | (ys[:, 0] > 1.0)))
+        assert 0 < blown < spec.num_points
+        report = check_lfso_validity(
+            objective, constant_lfso(ConstantLfsoParams(2.0)), spec)
+        assert report.violations == blown
+
+
 class TestTraceCheck:
     def test_quartic_run_clean_and_inflates_early(self):
         trace = quartic_run()

@@ -214,10 +214,6 @@ class RPolicy:
         b = np.asarray(b, dtype=np.float64)
         return RPolicy("residual-inf", lambda x: residual_inf(a, b, x))
 
-    @staticmethod
-    def callback(fn: Callable[[Vector], float]) -> "RPolicy":
-        return RPolicy("callback", fn)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -340,7 +336,8 @@ class _OracleStep:
         if self.bound is not None:
             big_g = _checked(self.bound(x), "gradient-norm bound")
         if not (r_k > 0 and math.isfinite(r_k)):
-            raise ValueError(f"r_k must be positive and finite, got {r_k}")
+            _checked(r_k, "radius R_k")
+            raise ValueError(f"r_k must be positive, got {r_k}")
         l_at_r = _checked(oracle.eval(x, r_k), "oracle value L(x, R_k)")
         if l_at_r < 0:
             raise ValueError(f"oracle value must be >= 0, got {l_at_r}")

@@ -17,10 +17,6 @@ class ShapeMismatchError(LfsoError):
     """Array dimensions do not agree."""
 
 
-class ZeroResidualError(LfsoError):
-    """Residual-space step requested at an exact solution."""
-
-
 class NegativeCurvatureError(LfsoError):
     """Supplied second derivative of the outer function evaluated negative."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (GradientOracle, Lfso, Vector, as_vector, each_float,
                    residual, residual_inf, row_dots)
-from .errors import NonFiniteValueError, ShapeMismatchError, ZeroResidualError
+from .errors import NonFiniteValueError, ShapeMismatchError
 from .oracles import composition_lfso, ipow, lp_regression_lfso
 
 
@@ -107,15 +107,10 @@ class LpRegressionProblem:
             return True
         return self.cond ** 4 < self.n / (self.n - 1)
 
-    def residual(self, x: Vector) -> Vector:
-        """``A x - b`` (read-only), shared within a solver step by
-        :func:`lfso.core.residual`."""
-        return residual(self.a, self.b, x)
-
     def residual_rows(self, xs: np.ndarray) -> np.ndarray:
         """``A x - b`` for every row x of ``xs``.  Each product is the gemv
-        of a single ``A @ x``, so every row equals :meth:`residual` bit for
-        bit."""
+        of a single ``A @ x``, so every row equals
+        :func:`lfso.core.residual` bit for bit."""
         return np.matmul(self.a, xs[:, :, None])[:, :, 0] - self.b
 
     def objective(self) -> GradientOracle:
@@ -276,27 +271,6 @@ def regression_constants(problem: LpRegressionProblem, eta: float):
     c1 = max(1.0, float(eta) * problem.bound_coef / (coef * (1.0 + row_pow)))
     c2 = coef * (1.0 + row_pow * ipow(c1, 2 * p - 2)) / (2 * p)
     return float(c1), float(c2)
-
-
-def residual_iterate(problem: LpRegressionProblem, r: Vector,
-                     eta: float) -> Vector:
-    """One step of the residual-space form of the regression iteration:
-
-        r_next = r - eta / (c2 ||r||_inf^{2p-2}) * A A^T r^{2p-1}.
-
-    Must agree with mapping the x-space step through x -> Ax - b.
-    """
-    r = as_vector(r)
-    if r.size != problem.n:
-        raise ShapeMismatchError(
-            f"residual has length {r.size}, expected {problem.n}")
-    res_inf = float(np.max(np.abs(r)))
-    if res_inf == 0.0:
-        raise ZeroResidualError("residual is zero; already optimal")
-    p = int(problem.p)
-    _, c2 = regression_constants(problem, eta)
-    scale = float(eta) / (c2 * ipow(res_inf, 2 * p - 2))
-    return r - scale * (problem.a @ (problem.a.T @ ipow(r, 2 * p - 1)))
 
 
 def _line_floats(path, lineno: int, line: str) -> list:

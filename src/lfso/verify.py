@@ -14,10 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Lfso, GradientOracle, RunTrace, euclidean_norm, row_dots
+from .core import (GradientOracle, Lfso, RPolicy, RunTrace, SolverConfig,
+                   euclidean_norm, row_dots, run_lfso_gd)
 from .errors import (AssumptionUnmetError, InsufficientDataError,
                      MissingDiagnosticsError)
-from .problems import CompositionProblem, LpRegressionProblem
+from .problems import CompositionProblem, LpRegressionProblem, QuarticProblem
 
 GENERATOR_ID = "numpy-pcg64"
 
@@ -94,18 +95,26 @@ def _rows_differing(scalar: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (scalar.view(np.uint64) != rows.view(np.uint64)).any(axis=1)
 
 
+def _or_inf(fn: Callable, *args):
+    """``fn(*args)``, or inf where it raises ``OverflowError``."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
                    picks: np.ndarray) -> np.ndarray:
     """Row j holds grad f(x), f(x), L(x, R) and f(y) of sample ``picks[j]``
     from the scalar callables, called in the order
-    :func:`check_lfso_validity` states."""
+    :func:`check_lfso_validity` states; a call that overflows gives inf."""
     values = np.empty((len(picks), problem.dim + 3))
     for row, i in zip(values, picks.tolist()):
         x = xs[i]
-        row[:-3] = problem.grad(x)
-        row[-3] = problem.eval(x)
-        row[-2] = oracle.eval(x, radii[i])
-        row[-1] = problem.eval(ys[i])
+        row[:-3] = _or_inf(problem.grad, x)
+        row[-3] = _or_inf(problem.eval, x)
+        row[-2] = _or_inf(oracle.eval, x, radii[i])
+        row[-1] = _or_inf(problem.eval, ys[i])
     return values
 
 
@@ -152,7 +161,8 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     the oracle has ``eval_rows``, the samples are evaluated as rows instead,
     and a stride of them also through the scalar callables: a sample whose
     values differ in any bit is a violation.  So is a sample with y != x
-    any of whose values is NaN or infinite.  ``violations`` counts each
+    any of whose values is NaN or infinite, or whose call raised
+    ``OverflowError``.  ``violations`` counts each
     failing sample once, so it never exceeds ``spec.num_points``.
     """
     xs, radii, ys = _validity_samples(spec, problem.dim)
@@ -193,24 +203,24 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
 
 
 def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
-                        grid_size: int = 12,
                         name: str = "monotone-in-R") -> CheckReport:
-    """On sampled x and an increasing radius grid, require
-    L(x, R_i) <= L(x, R_{i+1}) * (1 + 1e-14).
+    """On sampled x and 12 radii R_i log-spaced over ``spec.r_range``,
+    require L(x, R_i) <= L(x, R_{i+1}) * (1 + 1e-14).
 
     Each drop is a violation.  An oracle with ``eval_rows`` is evaluated
     at all samples per grid radius, and a stride of the samples is also
     evaluated through ``oracle.eval``; each sample whose values differ in
     any bit counts as one violation.  So does each sample with a NaN or
-    infinite value on the grid, whose drops are not counted as well."""
+    infinite value on the grid, or a call that raised ``OverflowError``,
+    whose drops are not counted as well."""
     rng = np.random.default_rng(spec.seed)
     low, high = spec.x_box
-    grid = np.geomspace(spec.r_range[0], spec.r_range[1], grid_size).tolist()
+    grid = np.geomspace(spec.r_range[0], spec.r_range[1], 12).tolist()
     xs = rng.uniform(low, high, (spec.num_points, dim))
 
     def scalar_values(points):
-        return np.array([[oracle.eval(x, r) for r in grid] for x in points],
-                        dtype=np.float64)
+        return np.array([[_or_inf(oracle.eval, x, r) for r in grid]
+                         for x in points], dtype=np.float64)
 
     failed = np.zeros(spec.num_points, dtype=bool)
     if oracle.eval_rows is None:
@@ -230,7 +240,7 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
         "generator": GENERATOR_ID,
         "seed": spec.seed,
         "samples": spec.num_points,
-        "grid_size": grid_size,
+        "grid_size": len(grid),
         "worst_drop": worst_drop,
     })
 
@@ -277,50 +287,38 @@ def check_trace(trace: RunTrace, eta: float,
     })
 
 
-def quartic_containment_threshold(tol: float = 1e-12) -> float:
-    """Radius below which the raw step of the scalar quartic at x = 1,
-    eta = 1 leaves the trust ball: the root of 6 R^3 + 6 R - 1.
-
-    The raw step has length 1/(6 + 6 R^2), so containment
-    1/(6 + 6 R^2) <= R rearranges to 6 R^3 + 6 R - 1 >= 0.
-    """
-    poly = lambda r: 6.0 * r ** 3 + 6.0 * r - 1.0
+def check_quartic_threshold(name: str = "quartic-threshold") -> CheckReport:
+    """On the shipped quartic pair at x = 1, eta = 1, bisect to 1e-12 for
+    the radius where the raw step ||grad f(x)|| / L(x, R) equals R, the
+    root of 6 R^3 + 6 R - 1; confirm the raw step leaves the ball below the
+    root and stays inside above it; and take one solver step from each of
+    50 radii in [1e-3, root], whose inflated radius must hold the step."""
+    problem = QuarticProblem()
+    objective, oracle = problem.objective(), problem.lfso()
+    x = np.array([1.0])
+    grad_norm = euclidean_norm(objective.grad(x))
+    raw_step = lambda r: grad_norm / oracle.eval(x, r)
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if poly(mid) < 0.0:
+        if raw_step(mid) > mid:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def check_quartic_threshold(name: str = "quartic-threshold") -> CheckReport:
-    """Locate the quartic containment threshold and confirm the raw step
-    overshoots below it, stays contained above it, and that radius
-    inflation restores containment for every tested radius below it."""
-    violations = 0
-    root = quartic_containment_threshold()
-    if not (0.162375 <= root <= 0.162385):
-        violations += 1
-    raw_step = lambda r: 1.0 / (6.0 + 6.0 * r * r)
-    for factor in (0.9, 0.99):
-        if not raw_step(factor * root) > factor * root:
-            violations += 1
-    for factor in (1.01, 1.1):
-        if not raw_step(factor * root) < factor * root:
-            violations += 1
+    root = 0.5 * (lo + hi)
+    violations = int(not 0.162375 <= root <= 0.162385)
+    violations += sum(not raw_step(f * root) > f * root for f in (0.9, 0.99))
+    violations += sum(not raw_step(f * root) < f * root for f in (1.01, 1.1))
     restored = 0
     radii = np.geomspace(1e-3, root, 50)
     for r in radii:
-        r_tilde = max(float(r), raw_step(float(r)))
-        if raw_step(r_tilde) <= r_tilde * (1.0 + 1e-14):
-            restored += 1
-        else:
-            violations += 1
+        config = SolverConfig(r_policy=RPolicy.constant(float(r)), max_iters=1)
+        rec = run_lfso_gd(oracle, objective, x, config).records[0]
+        restored += rec.step_norm <= rec.r_tilde_k * (1.0 + 1e-14)
+    violations += len(radii) - restored
     return CheckReport(name=name, violations=violations, stats={
         "root": root,
-        "poly_at_root": 6.0 * root ** 3 + 6.0 * root - 1.0,
+        "gap_at_root": raw_step(root) - root,
         "restored_radii": restored,
         "tested_radii": len(radii),
     })
@@ -399,39 +397,36 @@ def check_holder(spec: SampleSpec, t_values: Sequence[float],
     })
 
 
-def _window(values: Sequence[float], window_fraction: float):
-    if not (0.0 < window_fraction <= 1.0):
-        raise ValueError(f"window_fraction must be in (0, 1], got {window_fraction}")
+def _window(values: Sequence[float]):
     usable = []
     for v in values:
         if not v > RATE_FLOOR:
             break
         usable.append(float(v))
     n = len(usable)
-    start = int(math.floor(n * (1.0 - window_fraction)))
+    start = n // 2
     return usable[start:], start, n
 
 
-def fit_linear_rate(values: Sequence[float],
-                    window_fraction: float = 0.5) -> RateFit:
-    """Fit ln(value_k) against k over the tail window (the last
-    ``window_fraction`` of the sequence, cut at the first underflowed
-    value).  Needs at least 3 points."""
-    return _fit_tail(values, window_fraction, lambda ks: ks)
+def fit_linear_rate(values: Sequence[float]) -> RateFit:
+    """Fit ln(value_k) against k over the tail window: the sequence is cut
+    at its first value not above ``RATE_FLOOR``, and the window is the last
+    half of what remains, from index floor(n/2) of those n values.  Needs
+    at least 3 points in the window."""
+    return _fit_tail(values, lambda ks: ks)
 
 
-def fit_powerlaw_rate(values: Sequence[float],
-                      window_fraction: float = 0.5) -> RateFit:
+def fit_powerlaw_rate(values: Sequence[float]) -> RateFit:
     """Fit ln(value_k) against ln(k + 1) over the same tail window; a high
     r_squared here with a poor log-linear fit signals a sublinear decay."""
-    return _fit_tail(values, window_fraction, lambda ks: np.log(ks + 1.0))
+    return _fit_tail(values, lambda ks: np.log(ks + 1.0))
 
 
-def _fit_tail(values: Sequence[float], window_fraction: float,
+def _fit_tail(values: Sequence[float],
               abscissa: Callable[[np.ndarray], np.ndarray]) -> RateFit:
     """Least-squares line through (abscissa(k), ln value_k) over the tail
     window of ``values``."""
-    window, start, n = _window(values, window_fraction)
+    window, start, n = _window(values)
     if len(window) < 3:
         raise InsufficientDataError(
             f"rate fit needs >= 3 positive values, got {len(window)}")
@@ -447,19 +442,19 @@ def _fit_tail(values: Sequence[float], window_fraction: float,
                    window=(start, n - 1))
 
 
-def classify_rate(values: Sequence[float],
-                  window_fraction: float = 0.5) -> str:
-    """Label a decay sequence: "exact" if it dies within two recorded
+def classify_rate(values: Sequence[float]) -> str:
+    """Label a decay sequence from the fits over the tail window of
+    :func:`fit_linear_rate`: "exact" if it dies within two recorded
     values, "linear" if the tail log-linear fit has R^2 >= 0.99, beats the
     power-law fit and falls, "sublinear" if the power-law fit wins and
     falls.  A tail that does not fall (constant or growing), and a sequence
     too short to fit that never dies, is "indeterminate"."""
-    _, _, n = _window(values, window_fraction)
+    _, _, n = _window(values)
     if n <= 2 and n < len(values):
         return "exact"
     try:
-        lin = fit_linear_rate(values, window_fraction)
-        power = fit_powerlaw_rate(values, window_fraction)
+        lin = fit_linear_rate(values)
+        power = fit_powerlaw_rate(values)
     except InsufficientDataError:
         return "indeterminate"
     if (lin.r_squared >= 0.99 and lin.r_squared >= power.r_squared

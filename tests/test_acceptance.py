@@ -3,7 +3,8 @@
 Expected values come from independent references implemented here, not from
 the solver under test: closed-form radial recursions for the two shipped
 families, central finite differences for gradients, a dense SVD for the
-spectral constants, and direct evaluation for the scalar quartic.
+spectral constants, direct evaluation for the scalar quartic, and the
+residual-space regression step of ``test_problems.residual_iterate``.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -12,15 +13,15 @@ import numpy as np
 import pytest
 
 from lfso.cli import fig1a_eta, reproduce_figure, shipped_pairs
-from lfso.core import (RPolicy, SolverConfig, euclidean_norm, run_fixed_gd,
-                       run_lfso_gd)
+from lfso.core import (RPolicy, SolverConfig, euclidean_norm, residual,
+                       run_fixed_gd, run_lfso_gd)
 from lfso.oracles import ConstantLfsoParams, constant_lfso
-from lfso.problems import (QuarticProblem, make_lp_regression,
-                           make_norm_power, residual_iterate)
+from lfso.problems import QuarticProblem, make_lp_regression, make_norm_power
 from lfso.verify import (SampleSpec, check_composition_run,
-                         check_lfso_validity, check_regression_qlinear,
-                         check_trace, fit_linear_rate,
-                         quartic_containment_threshold)
+                         check_lfso_validity, check_quartic_threshold,
+                         check_regression_qlinear, check_trace,
+                         fit_linear_rate)
+from test_problems import residual_iterate
 
 PS = (1, 2, 3, 4, 5)
 
@@ -117,7 +118,7 @@ def _slope_magnitudes(traces, family):
             assert trace.final_grad_norm == 0.0
             magnitudes[p] = float("inf")
             continue
-        fit = fit_linear_rate(ratios, window_fraction=0.5)
+        fit = fit_linear_rate(ratios)
         assert fit.r_squared >= 0.99, f"{family} p={p}: R^2 = {fit.r_squared}"
         magnitudes[p] = abs(fit.slope)
     return magnitudes
@@ -148,9 +149,25 @@ def test_criterion_4_fixed_step_contrast(fig1b_traces, fig2b_traces):
           ">= 1e3 x above the oracle-driven run: PASS")
 
 
+def quartic_containment_root():
+    """Root of 6 R^3 + 6 R - 1 by bisection to 1e-12: where the raw step
+    1/(6 + 6 R^2) of the scalar quartic at x = 1, eta = 1, equals R."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if 6.0 * mid ** 3 + 6.0 * mid - 1.0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_criterion_5_quartic_threshold():
-    root = quartic_containment_threshold()
+    root = quartic_containment_root()
     assert abs(root - 0.16238) <= 5e-6
+    report = check_quartic_threshold()
+    assert report.violations == 0
+    assert report.stats["root"] == root
     raw_step = lambda r: 1.0 / (6.0 + 6.0 * r * r)
     assert raw_step(0.9 * root) > 0.9 * root      # containment violated
     assert raw_step(1.1 * root) < 1.1 * root      # containment satisfied
@@ -243,10 +260,10 @@ def test_criterion_9_residual_equivalence():
         trace = run_lfso_gd(oracle, problem.objective(), x0, config,
                             keep_iterates=True)
         assert trace.num_steps == 100
-        r = problem.residual(x0)
+        r = residual(problem.a, problem.b, x0)
         for x in trace.iterates[1:]:
             r = residual_iterate(problem, r, 1.0)
-            direct = problem.residual(x)
+            direct = residual(problem.a, problem.b, x)
             assert euclidean_norm(direct - r) <= 1e-10 * euclidean_norm(r), label
     print("[acceptance 9] x-space and residual-space iterations agree to "
           "1e-10 over 100 steps for the identity and a random well-"

@@ -347,7 +347,7 @@ class TestRunLfsoGd:
         def policy(x):
             raise RuntimeError("policy failed")
         problem, oracle = quadratic(2)
-        config = SolverConfig(r_policy=RPolicy.callback(policy))
+        config = SolverConfig(r_policy=RPolicy("callback", policy))
         with pytest.raises(RuntimeError):
             run_lfso_gd(oracle, problem, np.zeros(2), config)
 
@@ -476,7 +476,7 @@ class TestNonFiniteStep:
         objective = GradientOracle(dim=2, eval=parts["eval"],
                                    grad=parts["grad"],
                                    grad_norm_bound=parts["bound"])
-        config = SolverConfig(r_policy=RPolicy.callback(parts["policy"]),
+        config = SolverConfig(r_policy=RPolicy("callback", parts["policy"]),
                               eta=0.5, use_grad_bound=True)
         with pytest.raises(NonFiniteValueError,
                            match="^lfso iteration diverged at k=2: overflow "):
@@ -491,6 +491,22 @@ class TestNonFiniteStep:
         with pytest.raises(NonFiniteValueError,
                            match="^fixed iteration diverged at k=2: overflow "):
             run_fixed_gd(GradientOracle(dim=2, **parts), np.ones(2), 0.25)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_names_k(self, radius):
+        config = SolverConfig(r_policy=RPolicy("callback", lambda x: radius))
+        with pytest.raises(NonFiniteValueError, match=(
+                r"^lfso iteration diverged at k=0: "
+                r"radius R_k is not finite: (inf|nan)$")):
+            run_lfso_gd(QUARTIC.lfso(), QUARTIC.objective(), np.array([1.0]),
+                        config)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius_raises_value_error(self, radius):
+        config = SolverConfig(r_policy=RPolicy("callback", lambda x: radius))
+        with pytest.raises(ValueError, match="^r_k must be positive, got "):
+            run_lfso_gd(QUARTIC.lfso(), QUARTIC.objective(), np.array([1.0]),
+                        config)
 
     @pytest.mark.parametrize("family", ["norm2-pow", "lp-norm"])
     def test_structured_oracle_overflow_raises(self, family):
@@ -523,7 +539,7 @@ class TestConfigAndTypes:
 
     def test_callback_policy(self):
         problem, oracle = quadratic(3)
-        policy = RPolicy.callback(lambda x: 0.5 * euclidean_norm(x))
+        policy = RPolicy("callback", lambda x: 0.5 * euclidean_norm(x))
         config = SolverConfig(r_policy=policy, max_iters=4)
         trace = run_lfso_gd(oracle, problem, np.ones(3), config)
         assert policy.kind == "callback"
@@ -652,7 +668,7 @@ def test_public_names_pinned():
         'QuarticProblem', 'RPolicy', 'RateFit',
         'RunTrace', 'SampleSpec', 'ShapeMismatchError', 'SolverConfig',
         'Termination', 'Vector',
-        'ZeroOracleError', 'ZeroResidualError', 'as_vector',
+        'ZeroOracleError', 'as_vector',
         'check_composition_run', 'check_holder', 'check_lfso_validity',
         'check_monotone_in_R', 'check_quartic_threshold',
         'check_regression_qlinear', 'check_trace', 'classify_rate',
@@ -660,6 +676,6 @@ def test_public_names_pinned():
         'euclidean_norm', 'fit_linear_rate', 'fit_powerlaw_rate',
         'hessian_lipschitz_lfso', 'load_regression_data', 'lp_regression_lfso',
         'make_lp_regression', 'make_norm_power',
-        'quartic_containment_threshold',
-        'regression_constants', 'residual_iterate', 'run_fixed_gd',
+        'regression_constants', 'run_fixed_gd',
         'run_lfso_gd', 'spectral_norm']
+    assert len(lfso.__all__) == 48

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfso import verify
+from lfso import core, verify
 from lfso.cli import shipped_pairs
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
-                       run_fixed_gd, run_lfso_gd)
+                       euclidean_norm, run_fixed_gd, run_lfso_gd)
 from lfso.errors import (AssumptionUnmetError, InsufficientDataError,
                          MissingDiagnosticsError)
 from lfso.oracles import ConstantLfsoParams, constant_lfso
@@ -20,7 +20,7 @@ from lfso.verify import (SampleSpec, _residual_norms, check_composition_run,
                          check_holder, check_lfso_validity, check_monotone_in_R,
                          check_quartic_threshold, check_regression_qlinear,
                          check_trace, classify_rate, fit_linear_rate,
-                         fit_powerlaw_rate, quartic_containment_threshold)
+                         fit_powerlaw_rate)
 from test_problems import count_products
 
 QUARTIC = QuarticProblem()
@@ -323,11 +323,13 @@ class TestMonotoneCheck:
         dim = 7
         problem, oracle, calls = recording_pair(
             quadratic(dim), constant_lfso(ConstantLfsoParams(3.0)))
-        check_monotone_in_R(oracle, spec, dim, grid_size=3)
+        check_monotone_in_R(oracle, spec, dim)
         rng = np.random.default_rng(spec.seed)
         expected = [rng.uniform(spec.x_box[0], spec.x_box[1], dim)
                     for _ in range(spec.num_points)]
-        seen = [call[1] for call in calls[::3]]
+        # one call per sample and grid radius, 12 radii
+        assert len(calls) == 12 * spec.num_points
+        seen = [call[1] for call in calls[::12]]
         assert [x.tobytes() for x in seen] == [x.tobytes() for x in expected]
 
     def test_constant_passes(self):
@@ -403,6 +405,20 @@ class TestNonFiniteSamples:
             objective, constant_lfso(ConstantLfsoParams(2.0)), spec)
         assert report.violations == blown
 
+    def test_overflowing_oracle_fails_its_samples(self):
+        # exp(400 R) raises OverflowError for R above about 1.7745, inside
+        # the default r_range; below that it is far above the quartic's L
+        bad = Lfso(eval=lambda x, r: math.exp(400.0 * float(r)))
+        spec = SampleSpec(num_points=50)
+        _, radii, _ = verify._validity_samples(spec, 1)
+        blown = sum(400.0 * r > math.log(sys.float_info.max) for r in radii)
+        assert 0 < blown < spec.num_points
+        report = check_lfso_validity(QUARTIC.objective(), bad, spec)
+        assert report.violations == blown
+        # the top grid radius, 2.0, overflows at every sample
+        report = check_monotone_in_R(bad, SampleSpec(num_points=4), 1)
+        assert report.violations == 4
+
 
 class TestTraceCheck:
     def test_quartic_run_clean_and_inflates_early(self):
@@ -441,21 +457,31 @@ class TestTraceCheck:
         assert check_trace(trace, 1.0).violations == 0
 
 
+def quartic_raw_step(r):
+    """||grad f(1)|| / L(1, R) of the shipped quartic pair, eta = 1."""
+    x = np.array([1.0])
+    return (euclidean_norm(QUARTIC.objective().grad(x))
+            / QUARTIC.lfso().eval(x, r))
+
+
 class TestQuarticThreshold:
     def test_root_location(self):
-        root = quartic_containment_threshold()
-        assert abs(root - 0.16238) <= 5e-6
+        root = check_quartic_threshold().stats["root"]
+        assert root == 0.16238477273100216
         assert abs(6.0 * root ** 3 + 6.0 * root - 1.0) <= 1e-11
 
     def test_report_clean(self):
         report = check_quartic_threshold()
         assert report.violations == 0
         assert 0.162375 <= report.stats["root"] <= 0.162385
-        assert report.stats["restored_radii"] == report.stats["tested_radii"]
+        assert report.stats["restored_radii"] == 50
+        assert report.stats["tested_radii"] == 50
+        root = report.stats["root"]
+        assert report.stats["gap_at_root"] == quartic_raw_step(root) - root
 
     def test_raw_step_sides(self):
-        root = quartic_containment_threshold()
-        raw = lambda r: 1.0 / (6.0 + 6.0 * r * r)
+        root = check_quartic_threshold().stats["root"]
+        raw = quartic_raw_step
         assert raw(0.9 * root) > 0.9 * root
         assert raw(0.99 * root) > 0.99 * root
         assert raw(1.01 * root) < 1.01 * root
@@ -465,6 +491,33 @@ class TestQuarticThreshold:
         assert raw(0.1) > 0.1
         assert raw(0.5) == pytest.approx(1.0 / 7.5, rel=1e-15)
         assert raw(0.5) < 0.5
+
+    def test_half_strength_oracle_is_flagged(self, monkeypatch):
+        shipped = QuarticProblem.lfso
+
+        def halved(self):
+            oracle = shipped(self)
+            return Lfso(eval=lambda x, r: 0.5 * oracle.eval(x, r))
+
+        monkeypatch.setattr(QuarticProblem, "lfso", halved)
+        report = check_quartic_threshold()
+        # 3 R^3 + 3 R - 1 = 0: the root moves out of its interval
+        assert report.stats["root"] == pytest.approx(0.30497, abs=1e-5)
+        assert report.violations >= 1
+
+    def test_uninflated_solver_step_is_flagged(self, monkeypatch):
+        # a step rule that moves by eta / L(x, R_k) and records R~_k = R_k
+        def uninflated(self, x, g, grad_norm):
+            r_k = self.config.r_policy(x)
+            l_k = self.oracle.eval(x, r_k)
+            step = (self.config.eta / l_k) * g
+            return step, (r_k, r_k, l_k, euclidean_norm(step))
+
+        monkeypatch.setattr(core._OracleStep, "__call__", uninflated)
+        report = check_quartic_threshold()
+        # below the root the raw step leaves the ball; at the root it does not
+        assert report.stats["restored_radii"] == 1
+        assert report.violations == 49
 
 
 class TestCompositionCheck:
@@ -562,33 +615,39 @@ class TestHolderCheck:
 class TestRateFitting:
     def test_exact_geometric(self):
         values = [0.5 ** k for k in range(60)]
-        fit = fit_linear_rate(values, window_fraction=1.0)
+        fit = fit_linear_rate(values)
         assert fit.slope == pytest.approx(math.log(0.5), rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_window_indices(self):
         values = [0.9 ** k for k in range(100)]
-        fit = fit_linear_rate(values, window_fraction=0.25)
-        assert fit.window == (75, 99)
+        fit = fit_linear_rate(values)
+        assert fit.window == (50, 99)
+        assert fit_linear_rate(values[:99]).window == (49, 98)
 
     def test_harmonic_poorly_log_linear(self):
         values = [1.0 / (k + 1.0) for k in range(10_000)]
-        lin = fit_linear_rate(values, window_fraction=1.0)
-        power = fit_powerlaw_rate(values, window_fraction=1.0)
-        assert lin.r_squared < 0.9
-        assert power.r_squared > 0.999
+        lin = fit_linear_rate(values)
+        power = fit_powerlaw_rate(values)
+        # over the tail half, k in [5000, 9999], ln(1/(k + 1)) bends too
+        # little to fall far from a line, but the power law is exact
+        assert lin.r_squared < 0.995
+        assert power.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert power.slope == pytest.approx(-1.0, rel=1e-9)
 
     def test_truncates_at_underflow(self):
         values = [0.5 ** k for k in range(30)] + [0.0, 0.0]
-        fit = fit_linear_rate(values, window_fraction=1.0)
-        assert fit.window == (0, 29)
+        fit = fit_linear_rate(values)
+        assert fit.window == (15, 29)
         assert fit.slope == pytest.approx(math.log(0.5), rel=1e-10)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            fit_linear_rate([1.0, 0.5], window_fraction=1.0)
+            fit_linear_rate([1.0, 0.5, 0.25, 0.125])
         with pytest.raises(InsufficientDataError):
-            fit_linear_rate([1.0, 0.0, 0.0, 0.0], window_fraction=1.0)
+            fit_linear_rate([1.0, 0.5, 0.25, 0.125, 0.0, 0.0])
+        assert fit_linear_rate([1.0, 0.5, 0.25, 0.125, 0.0625,
+                                0.03125]).window == (3, 5)
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(1e-6, 1e6))
@@ -601,8 +660,8 @@ class TestRateFitting:
 
     def test_classify(self):
         assert classify_rate([0.5 ** k for k in range(50)]) == "linear"
-        assert classify_rate([1.0 / (k + 1) for k in range(2000)],
-                             window_fraction=1.0) == "sublinear"
+        harmonic = [1.0 / (k + 1) for k in range(2000)]
+        assert classify_rate(harmonic) == "sublinear"
         assert classify_rate([1.0, 0.0]) == "exact"
         # a tail that does not fall fits a line too, with slope >= 0
         assert classify_rate([1.0] * 50) == "indeterminate"

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (LfsoError, NonFiniteValueError, ShapeMismatchError,
-                     ZeroOracleError)
+from .errors import NonFiniteValueError, ShapeMismatchError, ZeroOracleError
 
 Vector = np.ndarray
 
@@ -240,8 +239,7 @@ class Termination(enum.Enum):
     """Why a run stopped, tested in this order at each iterate x_k:
 
     - ``max-iterations``: the budget of steps is spent;
-    - ``stationary-exact`` / ``oracle-zero``: grad f(x_k) is exactly 0, and
-      the oracle at x_k is positive / has collapsed to 0 as well;
+    - ``stationary-exact``: grad f(x_k) is exactly 0;
     - ``gradient-tolerance``: ||grad f(x_k)|| <= grad_tol;
     - ``gradient-underflow``: 0 < ||grad f(x_k)|| < the smallest normal
       float64 (``np.finfo(float).tiny``).  A subnormal gradient has lost
@@ -254,7 +252,6 @@ class Termination(enum.Enum):
     GRADIENT_UNDERFLOW = "gradient-underflow"
     MAX_ITERATIONS = "max-iterations"
     STATIONARY_EXACT = "stationary-exact"
-    ORACLE_ZERO = "oracle-zero"
     STALLED = "stalled"
 
 
@@ -316,25 +313,19 @@ def _checked(value: float, what: str) -> float:
     return value
 
 
-class _OracleStep:
+def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
+                 config: SolverConfig) -> Callable:
     """Step rule of the oracle-driven solver: the radius policy gives R_k,
     which is inflated to R~_k so the step stays inside B(x_k, R~_k), and the
-    step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``."""
+    step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``.  ``bound``, when given,
+    stands in for ``||grad f(x_k)||`` in the inflation."""
+    eta, r_policy = config.eta, config.r_policy
 
-    algorithm = "lfso"
-
-    def __init__(self, oracle: Lfso, problem: GradientOracle,
-                 config: SolverConfig):
-        self.oracle = oracle
-        self.config = config
-        self.bound = problem.grad_norm_bound if config.use_grad_bound else None
-
-    def __call__(self, x: Vector, g: Vector, grad_norm: float):
-        config, oracle = self.config, self.oracle
-        r_k = config.r_policy(x)
+    def rule(x: Vector, g: Vector, grad_norm: float):
+        r_k = r_policy(x)
         big_g = grad_norm
-        if self.bound is not None:
-            big_g = _checked(self.bound(x), "gradient-norm bound")
+        if bound is not None:
+            big_g = _checked(bound(x), "gradient-norm bound")
         if not (r_k > 0 and math.isfinite(r_k)):
             _checked(r_k, "radius R_k")
             raise ValueError(f"r_k must be positive, got {r_k}")
@@ -345,49 +336,34 @@ class _OracleStep:
             raise ZeroOracleError(
                 "L(x, R_k) = 0 at a point with nonzero gradient; "
                 "the oracle does not match this objective")
-        r_tilde = _checked(max(r_k, config.eta * big_g / l_at_r), "inflated radius")
+        r_tilde = _checked(max(r_k, eta * big_g / l_at_r), "inflated radius")
         l_k = _checked(oracle.eval(x, r_tilde), "oracle value L(x, R~_k)")
         if l_k <= 0.0:
             raise ZeroOracleError(
                 "L(x, R~_k) = 0 at a point with nonzero gradient")
-        step = (config.eta / l_k) * g
+        step = (eta / l_k) * g
         step_norm = _checked(euclidean_norm(step), "step norm")
         return step, (float(r_k), r_tilde, l_k, step_norm)
 
-    def stationary(self, x: Vector) -> Termination:
-        """At an exact stationary point, report whether the oracle has also
-        collapsed to zero there (degenerate minimizer) or is still positive."""
-        try:
-            r_probe = max(0.0, self.config.r_policy(x))
-            l_probe = float(self.oracle.eval(x, r_probe))
-        except (LfsoError, ValueError, ArithmeticError):
-            return Termination.STATIONARY_EXACT
-        if l_probe == 0.0:
-            return Termination.ORACLE_ZERO
-        return Termination.STATIONARY_EXACT
+    return rule
 
 
-class _FixedStep:
+def _fixed_step(eta: float) -> Callable:
     """Step rule of the fixed-stepsize baseline: the step is
     ``eta * grad f(x_k)``, recorded with the sentinel row."""
+    l_k = 1.0 / eta
 
-    algorithm = "fixed"
+    def rule(x: Vector, g: Vector, grad_norm: float):
+        return eta * g, (0.0, 0.0, l_k, eta * grad_norm)
 
-    def __init__(self, eta: float):
-        self.eta = eta
-        self.l_k = 1.0 / eta
-
-    def __call__(self, x: Vector, g: Vector, grad_norm: float):
-        eta = self.eta
-        return eta * g, (0.0, 0.0, self.l_k, eta * grad_norm)
-
-    def stationary(self, x: Vector) -> Termination:
-        return Termination.STATIONARY_EXACT
+    return rule
 
 
-def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
-             grad_tol: float, keep_iterates: bool) -> RunTrace:
-    """The iteration both solvers share.  Each iterate is evaluated once;
+def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
+             algorithm: str, max_iters: int, grad_tol: float,
+             keep_iterates: bool) -> RunTrace:
+    """The iteration both solvers share, and the one place that decides why
+    a run stops (see :class:`Termination`).  Each iterate is evaluated once;
     ``rule(x, g, grad_norm)`` returns the step and the record's step fields
     in :class:`IterationRecord` order, from ``r_k`` on.  Each step scopes
     the values that :func:`residual` and its kin share to its iterate; the
@@ -396,7 +372,9 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
     ``max_iters`` steps are taken the run stops on the budget, whatever the
     gradient at the last iterate.  An iterate is compared with the one
     before only when its gradient norm is the same, so an iterate whose
-    gradient norm changed costs no array comparison."""
+    gradient norm changed costs no array comparison.  A non-finite value,
+    an ``OverflowError`` or a numpy overflow in any callback ends the run
+    in one :class:`NonFiniteValueError` naming ``algorithm`` and k."""
     x = as_vector(x0).copy()
     if x.size != problem.dim:
         raise ShapeMismatchError(
@@ -407,16 +385,16 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
     last_x, last_grad_norm = None, math.nan
     scope = _iterate.set((None, None))
     try:
-        for k in range(max_iters + 1):
-            _iterate.set((x, {}))
-            try:
+        with np.errstate(over="raise"):
+            for k in range(max_iters + 1):
+                _iterate.set((x, {}))
                 g = problem.grad(x)
                 grad_norm = _checked(euclidean_norm(g), "gradient norm")
                 f_val = _checked(problem.eval(x), "objective value")
                 if k == max_iters:
                     break
                 if grad_norm == 0.0:
-                    termination = rule.stationary(x)
+                    termination = Termination.STATIONARY_EXACT
                     break
                 if grad_norm <= grad_tol:
                     termination = Termination.GRADIENT_TOLERANCE
@@ -431,20 +409,20 @@ def _descend(problem: GradientOracle, x0: Vector, rule, max_iters: int,
                 next_x = x - step
                 if not np.isfinite(next_x).all():
                     raise NonFiniteValueError("next iterate is not finite")
-            except (NonFiniteValueError, OverflowError) as exc:
-                why = f"overflow {exc}" if isinstance(exc, OverflowError) else exc
-                raise NonFiniteValueError(f"{rule.algorithm} iteration "
-                                          f"diverged at k={k}: {why}") from exc
-            records.append(IterationRecord(k, f_val, grad_norm, *fields))
-            last_x, last_grad_norm = x, grad_norm
-            x = next_x
-            if keep_iterates:
-                iterates.append(x.copy())
+                records.append(IterationRecord(k, f_val, grad_norm, *fields))
+                last_x, last_grad_norm = x, grad_norm
+                x = next_x
+                if keep_iterates:
+                    iterates.append(x.copy())
+    except (NonFiniteValueError, OverflowError, FloatingPointError) as exc:
+        why = f"overflow {exc}" if isinstance(exc, OverflowError) else exc
+        raise NonFiniteValueError(f"{algorithm} iteration "
+                                  f"diverged at k={k}: {why}") from exc
     finally:
         _iterate.reset(scope)
     return RunTrace(records=records, final_x=x, termination=termination,
                     final_f=f_val, final_grad_norm=grad_norm,
-                    iterates=iterates, algorithm=rule.algorithm)
+                    iterates=iterates, algorithm=algorithm)
 
 
 def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
@@ -460,12 +438,14 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
     ``ValueError`` when ``config.use_grad_bound`` is set and ``problem``
     has no ``grad_norm_bound``, and :class:`NonFiniteValueError`, naming
     k, when the objective, gradient, gradient-norm bound, radius policy
-    or oracle gives a non-finite value or raises ``OverflowError``.
+    or oracle gives a non-finite value or overflows (see :func:`_descend`).
+    An exact stationary point ends the run with no policy or oracle call.
     """
-    if config.use_grad_bound and problem.grad_norm_bound is None:
+    bound = problem.grad_norm_bound if config.use_grad_bound else None
+    if config.use_grad_bound and bound is None:
         raise ValueError("use_grad_bound needs an objective with a "
                          "grad_norm_bound; this one has none")
-    return _descend(problem, x0, _OracleStep(oracle, problem, config),
+    return _descend(problem, x0, _oracle_step(oracle, bound, config), "lfso",
                     config.max_iters, config.grad_tol, keep_iterates)
 
 
@@ -476,8 +456,8 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
 
     Raises :class:`NonFiniteValueError`, naming k, if the iteration
     diverges: the objective, gradient or next iterate is not finite, or
-    the objective or gradient raises ``OverflowError``.  Trace rows use the
-    sentinel ``r_k = r_tilde_k = 0`` and ``l_k = 1/eta``.
+    the objective or gradient overflows.  Trace rows use the sentinel
+    ``r_k = r_tilde_k = 0`` and ``l_k = 1/eta``.
     """
     if not (eta > 0 and np.isfinite(eta)):
         raise ValueError(f"eta must be positive, got {eta}")
@@ -485,5 +465,5 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not (grad_tol >= 0.0):
         raise ValueError(f"grad_tol must be >= 0, got {grad_tol}")
-    return _descend(problem, x0, _FixedStep(eta), max_iters, grad_tol,
-                    keep_iterates)
+    return _descend(problem, x0, _fixed_step(eta), "fixed", max_iters,
+                    grad_tol, keep_iterates)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (Lfso, Vector, each_float, euclidean_norm_rows,
                    inner_grad_norm, residual_inf)
-from .errors import NegativeCurvatureError, NonFiniteValueError
+from .errors import NegativeCurvatureError
 
 if TYPE_CHECKING:
     from .problems import CompositionProblem, LpRegressionProblem
@@ -72,10 +72,7 @@ def hessian_lipschitz_lfso(hess_norm: Callable[[Vector], float],
     l_h = float(l_h)
 
     def evaluate(x: Vector, r: float) -> float:
-        h = float(hess_norm(x))
-        if not np.isfinite(h):
-            raise NonFiniteValueError(f"hess_norm returned {h}")
-        return h + l_h * float(r)
+        return float(hess_norm(x)) + l_h * float(r)
 
     return Lfso(eval=evaluate)
 

@@ -161,39 +161,40 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     the oracle has ``eval_rows``, the samples are evaluated as rows instead,
     and a stride of them also through the scalar callables: a sample whose
     values differ in any bit is a violation.  So is a sample with y != x
-    any of whose values is NaN or infinite, or whose call raised
-    ``OverflowError``.  ``violations`` counts each
-    failing sample once, so it never exceeds ``spec.num_points``.
+    any of whose values is NaN or infinite, from a call that raised
+    ``OverflowError`` or from overflow (huge radii).  ``violations`` counts
+    each failing sample once, so it never exceeds ``spec.num_points``.
     """
-    xs, radii, ys = _validity_samples(spec, problem.dim)
-    diffs = ys - xs
-    dist_sq = row_dots(diffs, diffs)
-    kept = dist_sq != 0.0
-    failed = np.zeros(spec.num_points, dtype=bool)
-    if (problem.eval_rows is None or problem.grad_rows is None
-            or oracle.eval_rows is None):
-        values = _scalar_values(problem, oracle, xs, radii, ys,
-                                np.flatnonzero(kept))
-    else:
-        values = np.column_stack((
-            problem.grad_rows(xs), problem.eval_rows(xs),
-            oracle.eval_rows(xs, np.array(radii)),
-            problem.eval_rows(ys))).astype(np.float64, copy=False)
-        picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
-        failed[picks] = _rows_differing(
-            _scalar_values(problem, oracle, xs, radii, ys, picks), values[picks])
-        values = values[kept]
-    lin = row_dots(values[:, :-3], diffs[kept])
-    fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
-    dist_sq = dist_sq[kept]
-    rhs = 0.5 * lvals * dist_sq
-    lhs = np.abs(fy - fx - lin)
-    eps = float(np.finfo(np.float64).eps)
-    noise = 8.0 * eps * (np.abs(fx) + np.abs(fy) + np.abs(lin)) + 1e-300
-    # like a running max(worst, ratio) from 0.0, a NaN ratio is never the worst
-    worst_ratio = float(np.fmax.reduce(lhs / (rhs + noise), initial=0.0))
-    failed[kept] |= (~np.isfinite(values).all(axis=1)
-                     | (lhs > rhs * (1.0 + 1e-10) + noise))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, radii, ys = _validity_samples(spec, problem.dim)
+        diffs = ys - xs
+        dist_sq = row_dots(diffs, diffs)
+        kept = dist_sq != 0.0
+        failed = np.zeros(spec.num_points, dtype=bool)
+        if (problem.eval_rows is None or problem.grad_rows is None
+                or oracle.eval_rows is None):
+            values = _scalar_values(problem, oracle, xs, radii, ys,
+                                    np.flatnonzero(kept))
+        else:
+            values = np.column_stack((
+                problem.grad_rows(xs), problem.eval_rows(xs),
+                oracle.eval_rows(xs, np.array(radii)),
+                problem.eval_rows(ys))).astype(np.float64, copy=False)
+            picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
+            failed[picks] = _rows_differing(_scalar_values(
+                problem, oracle, xs, radii, ys, picks), values[picks])
+            values = values[kept]
+        lin = row_dots(values[:, :-3], diffs[kept])
+        fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
+        dist_sq = dist_sq[kept]
+        rhs = 0.5 * lvals * dist_sq
+        lhs = np.abs(fy - fx - lin)
+        eps = float(np.finfo(np.float64).eps)
+        noise = 8.0 * eps * (np.abs(fx) + np.abs(fy) + np.abs(lin)) + 1e-300
+        # as in a running max from 0.0, a NaN ratio is never the worst
+        worst_ratio = float(np.fmax.reduce(lhs / (rhs + noise), initial=0.0))
+        failed[kept] |= (~np.isfinite(values).all(axis=1)
+                         | (lhs > rhs * (1.0 + 1e-10) + noise))
     return CheckReport(name=name, violations=int(failed.sum()), stats={
         "generator": GENERATOR_ID,
         "seed": spec.seed,
@@ -211,8 +212,8 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
     at all samples per grid radius, and a stride of the samples is also
     evaluated through ``oracle.eval``; each sample whose values differ in
     any bit counts as one violation.  So does each sample with a NaN or
-    infinite value on the grid, or a call that raised ``OverflowError``,
-    whose drops are not counted as well."""
+    infinite value on the grid, from a call that raised ``OverflowError``
+    or a row form that overflowed, whose drops are not counted as well."""
     rng = np.random.default_rng(spec.seed)
     low, high = spec.x_box
     grid = np.geomspace(spec.r_range[0], spec.r_range[1], 12).tolist()
@@ -226,9 +227,10 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
     if oracle.eval_rows is None:
         values = scalar_values(xs)
     else:
-        values = np.column_stack([
-            oracle.eval_rows(xs, np.full(len(xs), r))
-            for r in grid]).astype(np.float64, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.column_stack([
+                oracle.eval_rows(xs, np.full(len(xs), r))
+                for r in grid]).astype(np.float64, copy=False)
         picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
         failed[picks] = _rows_differing(scalar_values(xs[picks]), values[picks])
     non_finite = ~np.isfinite(values).all(axis=1)

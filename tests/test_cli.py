@@ -2,7 +2,6 @@ import json
 import math
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from lfso import _svg, cli
@@ -214,11 +213,21 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_divergent_fixed_run_exits_2(self, tmp_path, capsys):
-        with np.errstate(over="ignore"):
-            assert run_cli(["run", "--problem", "norm2-pow", "--p", "2",
-                            "--solver", "fixed", "--eta", "1.0",
-                            "--out", tmp_path / "x.csv"]) == 2
+        assert run_cli(["run", "--problem", "norm2-pow", "--p", "2",
+                        "--solver", "fixed", "--eta", "1.0",
+                        "--out", tmp_path / "x.csv"]) == 2
         assert "diverged" in capsys.readouterr().err
+
+    def test_numpy_overflow_exits_2(self, tmp_path, capsys):
+        # the residual powers of the p = 5 run overflow in numpy at k = 3
+        out = tmp_path / "x.csv"
+        assert run_cli(["run", "--problem", "lp-norm", "--p", "5",
+                        "--solver", "fixed", "--eta", "1.9",
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: fixed iteration diverged at k=3: "
+            "overflow encountered in multiply\n")
+        assert not out.exists()
 
     def test_overflowing_oracle_exits_2(self, tmp_path, capsys):
         # the quartic oracle squares R = 1e200, a Python float overflow

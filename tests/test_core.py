@@ -336,20 +336,21 @@ class TestRunLfsoGd:
         assert trace.final_grad_norm <= 1e-3
         assert trace.records[-1].grad_norm > 1e-3
 
-    def test_oracle_zero_at_degenerate_minimizer(self):
+    def test_degenerate_minimizer_stops_without_probe(self):
+        # the oracle is 0 at x = 0 too, but the loop stops on the gradient
+        # alone, before it calls the policy or the oracle
         problem, oracle = make_norm_power(4, 2)
-        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad))
-        trace = run_lfso_gd(oracle, problem.objective(), np.zeros(4), config)
+        calls = []
+        policy = RPolicy.grad_g_norm(problem.g.grad)
+        config = SolverConfig(r_policy=RPolicy(
+            "counted", lambda x: calls.append("policy") or policy(x)))
+        counted = Lfso(eval=lambda x, r: calls.append("oracle") or
+                       oracle.eval(x, r))
+        trace = run_lfso_gd(counted, problem.objective(), np.zeros(4), config)
         assert trace.num_steps == 0
-        assert trace.termination is Termination.ORACLE_ZERO
-
-    def test_stationary_probe_propagates_unexpected_errors(self):
-        def policy(x):
-            raise RuntimeError("policy failed")
-        problem, oracle = quadratic(2)
-        config = SolverConfig(r_policy=RPolicy("callback", policy))
-        with pytest.raises(RuntimeError):
-            run_lfso_gd(oracle, problem, np.zeros(2), config)
+        assert trace.termination is Termination.STATIONARY_EXACT
+        assert calls == []
+        assert oracle.eval(np.zeros(4), 0.0) == 0.0
 
     def test_shape_mismatch(self):
         problem, oracle = quadratic(3)
@@ -491,6 +492,27 @@ class TestNonFiniteStep:
         with pytest.raises(NonFiniteValueError,
                            match="^fixed iteration diverged at k=2: overflow "):
             run_fixed_gd(GradientOracle(dim=2, **parts), np.ones(2), 0.25)
+
+    def test_fixed_numpy_overflow_names_k(self):
+        # from ones the step on sum(x^4) reaches |x| ~ 6e187 at k = 6, where
+        # x ** 3 overflows in numpy; the caller's error state comes back
+        problem = GradientOracle(dim=2, eval=lambda x: float(np.sum(x ** 4)),
+                                 grad=lambda x: 4.0 * x ** 3)
+        before = np.geterr()
+        with pytest.raises(NonFiniteValueError, match=(
+                "^fixed iteration diverged at k=6: "
+                "overflow encountered in power$")):
+            run_fixed_gd(problem, np.ones(2), 1.0)
+        assert np.geterr() == before
+
+    def test_lfso_numpy_overflow_names_k(self):
+        problem, _ = quadratic(2)
+        oracle = Lfso(eval=lambda x, r: float(np.square(np.full(2, r)).max()))
+        config = SolverConfig(r_policy=RPolicy.constant(1e200))
+        with pytest.raises(NonFiniteValueError, match=(
+                "^lfso iteration diverged at k=0: "
+                "overflow encountered in square$")):
+            run_lfso_gd(oracle, problem, np.ones(2), config)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_non_finite_radius_names_k(self, radius):

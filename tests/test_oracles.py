@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from lfso.core import GradientOracle
+from lfso.core import GradientOracle, RPolicy, SolverConfig, run_lfso_gd
 from lfso.errors import NegativeCurvatureError, NonFiniteValueError
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
                           hessian_lipschitz_lfso, ipow)
@@ -119,11 +121,25 @@ class TestHessianLipschitzLfso:
                                      SampleSpec(num_points=500, seed=2))
         assert report.violations == 0
 
-    def test_non_finite_hessian_raises(self):
-        oracle = hessian_lipschitz_lfso(hess_norm=lambda x: float("nan"),
-                                        l_h=1.0)
-        with pytest.raises(NonFiniteValueError):
-            oracle.eval(np.zeros(1), 1.0)
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_hessian_counts_once_per_sample(self, h):
+        # the oracle passes the value on; the checks report, not raise
+        oracle = hessian_lipschitz_lfso(hess_norm=lambda x: h, l_h=1.0)
+        report = check_lfso_validity(QuarticProblem().objective(), oracle,
+                                     SampleSpec(num_points=20))
+        assert report.violations == 20
+        report = check_monotone_in_R(oracle, SampleSpec(num_points=4), 1)
+        assert report.violations == 4
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_hessian_ends_run(self, h):
+        oracle = hessian_lipschitz_lfso(hess_norm=lambda x: h, l_h=1.0)
+        config = SolverConfig(r_policy=RPolicy.constant(0.1))
+        with pytest.raises(NonFiniteValueError, match=(
+                r"^lfso iteration diverged at k=0: "
+                rf"oracle value L\(x, R_k\) is not finite: {h}$")):
+            run_lfso_gd(oracle, QuarticProblem().objective(),
+                        np.array([1.0]), config)
 
     @pytest.mark.parametrize("l_h", [-1.0, float("inf"), float("nan")])
     def test_bad_l_h_rejected(self, l_h):

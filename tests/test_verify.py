@@ -419,6 +419,18 @@ class TestNonFiniteSamples:
         report = check_monotone_in_R(bad, SampleSpec(num_points=4), 1)
         assert report.violations == 4
 
+    def test_huge_radii_fail_each_sample_without_warning(self):
+        # at R up to 1e200 the ball offsets square past float64 in the
+        # check's own arithmetic (scalar path) and in the oracle's rows
+        spec = SampleSpec(num_points=4, r_range=(0.1, 1e200))
+        report = check_lfso_validity(QUARTIC.objective(), QUARTIC.lfso(), spec)
+        assert report.violations == 4
+        problem, oracle = make_norm_power(3, 2)
+        spec = replace(spec, num_points=50)
+        report = check_lfso_validity(problem.objective(), oracle, spec)
+        assert report.violations == 50
+        assert check_monotone_in_R(oracle, spec, 3).violations == 50
+
 
 class TestTraceCheck:
     def test_quartic_run_clean_and_inflates_early(self):
@@ -507,13 +519,15 @@ class TestQuarticThreshold:
 
     def test_uninflated_solver_step_is_flagged(self, monkeypatch):
         # a step rule that moves by eta / L(x, R_k) and records R~_k = R_k
-        def uninflated(self, x, g, grad_norm):
-            r_k = self.config.r_policy(x)
-            l_k = self.oracle.eval(x, r_k)
-            step = (self.config.eta / l_k) * g
-            return step, (r_k, r_k, l_k, euclidean_norm(step))
+        def uninflated(oracle, bound, config):
+            def rule(x, g, grad_norm):
+                r_k = config.r_policy(x)
+                l_k = oracle.eval(x, r_k)
+                step = (config.eta / l_k) * g
+                return step, (r_k, r_k, l_k, euclidean_norm(step))
+            return rule
 
-        monkeypatch.setattr(core._OracleStep, "__call__", uninflated)
+        monkeypatch.setattr(core, "_oracle_step", uninflated)
         report = check_quartic_threshold()
         # below the root the raw step leaves the ball; at the root it does not
         assert report.stats["restored_radii"] == 1

@@ -79,9 +79,10 @@ class ExperimentConfig:
     data_path: Optional[str] = None
 
     def validate(self) -> None:
-        """The checks no later step makes: build_experiment and execute
-        reject an unknown problem or solver, and the solvers check eta,
-        max_iters and grad_tol."""
+        """Check d, p and a regression-file run's data path before any
+        build.  build_experiment and execute reject an unknown problem or
+        solver, the problem builders check p again, and the solvers check
+        eta, max_iters and grad_tol."""
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.p < 1:
@@ -252,8 +253,7 @@ def cmd_run(args) -> int:
     bundle = build_experiment(cfg)
     trace = execute(cfg, bundle)
     write_trace_csv(cfg.out_path, trace)
-    p_part = "" if cfg.problem == "quartic" else f" p={cfg.p}"
-    label = (f"run problem={cfg.problem}{p_part} d={bundle.objective.dim} "
+    label = (f"run problem={_suite_label(cfg)} d={bundle.objective.dim} "
              f"eta={cfg.eta:g} solver={cfg.solver}")
     print(summarize_trace(trace, label))
     print(f"trace written to {cfg.out_path}")
@@ -335,20 +335,19 @@ def shipped_pairs(bundles: Optional[list] = None):
                for name, bundle in named.items()])
 
 
-def verify_all(seed: int, include_controls: bool = False,
-               timings: Optional[dict] = None):
+def verify_all(seed: int, include_controls: bool = False):
     """Run every check on every shipped pair plus short solver runs.
 
-    Returns (report_text, total_violations).  With ``include_controls``
-    the deliberately broken inputs join the suite, so violations are
-    expected and the exit status is nonzero.  A ``timings`` dict receives
-    the wall seconds of each check under its report block's name, of each
-    solver run under ``"run <label>"``, and of the whole suite under
-    ``"total"``; the report text does not depend on it.
+    Returns (report_text, total_violations, seconds).  With
+    ``include_controls`` the deliberately broken inputs join the suite, so
+    violations are expected and the exit status is nonzero.  ``seconds``
+    maps each report block's name to the wall seconds of its check,
+    ``"run <label>"`` to those of each solver run, and ``"total"`` to
+    those of the whole suite.
     """
     suite_start = time.perf_counter()
     reports = []
-    seconds = {} if timings is None else timings
+    seconds = {}
 
     def timed(check, *args, **kwargs):
         start = time.perf_counter()
@@ -403,7 +402,7 @@ def verify_all(seed: int, include_controls: bool = False,
     lines.append(f"total_violations = {total}")
     lines.append(f"overall = {'ok' if total == 0 else 'FAIL'}")
     seconds["total"] = time.perf_counter() - suite_start
-    return "\n".join(lines) + "\n", total
+    return "\n".join(lines) + "\n", total, seconds
 
 
 def cmd_verify(args) -> int:
@@ -413,13 +412,11 @@ def cmd_verify(args) -> int:
     if args.timings is not None:
         # opened before the suite runs, so a bad path fails fast
         timings_file = open(args.timings, "w", encoding="utf-8")
-    timings = {}
-    text, total = verify_all(args.seed, include_controls=args.include_controls,
-                             timings=timings)
+    text, total, seconds = verify_all(args.seed, args.include_controls)
     print(text, end="")
     if timings_file is not None:
         with timings_file:
-            json.dump(timings, timings_file, indent=1)
+            json.dump(seconds, timings_file, indent=1)
             timings_file.write("\n")
     return 0 if total == 0 else 1
 
@@ -467,7 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, LfsoError, ValueError, OSError) as exc:
+    except (LfsoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -338,10 +338,16 @@ def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
                 "the oracle does not match this objective")
         r_tilde = _checked(max(r_k, eta * big_g / l_at_r), "inflated radius")
         l_k = _checked(oracle.eval(x, r_tilde), "oracle value L(x, R~_k)")
-        if l_k <= 0.0:
+        if l_k < 0:
+            raise ValueError(f"oracle value must be >= 0, got {l_k}")
+        if l_k == 0.0:
             raise ZeroOracleError(
                 "L(x, R~_k) = 0 at a point with nonzero gradient")
-        step = (eta / l_k) * g
+        stepsize = eta / l_k
+        if stepsize == math.inf:  # eta / L > 0, so only inf is not finite
+            raise NonFiniteValueError(
+                "stepsize eta / L(x, R~_k) is not finite: inf")
+        step = stepsize * g
         step_norm = _checked(euclidean_norm(step), "step norm")
         return step, (float(r_k), r_tilde, l_k, step_norm)
 
@@ -406,12 +412,10 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
                     termination = Termination.STALLED
                     break
                 step, fields = rule(x, g, grad_norm)
-                next_x = x - step
-                if not np.isfinite(next_x).all():
-                    raise NonFiniteValueError("next iterate is not finite")
                 records.append(IterationRecord(k, f_val, grad_norm, *fields))
                 last_x, last_grad_norm = x, grad_norm
-                x = next_x
+                # finite: x and the step are, and an overflow raises
+                x = x - step
                 if keep_iterates:
                     iterates.append(x.copy())
     except (NonFiniteValueError, OverflowError, FloatingPointError) as exc:
@@ -455,8 +459,8 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
     """Fixed-stepsize baseline ``x_{k+1} = x_k - eta * grad f(x_k)``.
 
     Raises :class:`NonFiniteValueError`, naming k, if the iteration
-    diverges: the objective, gradient or next iterate is not finite, or
-    the objective or gradient overflows.  Trace rows use the sentinel
+    diverges: the objective or gradient is not finite, or the objective,
+    gradient or next iterate overflows.  Trace rows use the sentinel
     ``r_k = r_tilde_k = 0`` and ``l_k = 1/eta``.
     """
     if not (eta > 0 and np.isfinite(eta)):

@@ -158,23 +158,20 @@ def make_norm_power(d: int, p: int):
     """Problem f(x) = ||x||_2^{2p} as the composition of g = ||x||_2^2
     (l_g = mu_g = 2) with h(t) = t^p, paired with its oracle.
     """
-    if d < 1 or p < 1:
-        raise ValueError(f"need d >= 1 and p >= 1, got d={d}, p={p}")
+    if not all(v >= 1 and float(v).is_integer() for v in (d, p)):
+        raise ValueError(f"need integers d >= 1 and p >= 1, got d={d}, p={p}")
     p = int(p)
+    k = max(p - 2, 0)
     g = GradientOracle(dim=int(d),
                        eval=lambda x: float(x @ x),
                        grad=lambda x: 2.0 * x,
                        eval_rows=lambda xs: row_dots(xs, xs),
                        grad_rows=lambda xs: 2.0 * xs)
-    if p == 1:
-        h_double_prime = lambda t: 0.0
-    else:
-        h_double_prime = lambda t: p * (p - 1) * ipow(float(t), p - 2)
     problem = CompositionProblem(
         g=g, l_g=2.0, mu_g=2.0,
         h=lambda t: ipow(float(t), p),
         h_prime=lambda t: p * ipow(float(t), p - 1),
-        h_double_prime=h_double_prime,
+        h_double_prime=lambda t: p * (p - 1) * ipow(float(t), k),
     )
     return problem, composition_lfso(problem)
 
@@ -202,8 +199,8 @@ def make_lp_regression(a: np.ndarray, b, p: int):
     if a.shape[0] != b.size:
         raise ShapeMismatchError(
             f"matrix has {a.shape[0]} rows but b has length {b.size}")
-    if int(p) < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (p >= 1 and float(p).is_integer()):
+        raise ValueError(f"p must be an integer >= 1, got {p}")
     max_row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a))))
     if not math.isfinite(max_row_norm):
         raise NonFiniteValueError(

@@ -156,25 +156,23 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     Comparisons carry a 1e-10 relative slack plus an absolute floor sized
     to the float cancellation in evaluating the left side.
 
-    Each sample with y != x calls grad f(x), f(x), L(x, R) and f(y), in
-    that order.  When the objective has ``eval_rows`` and ``grad_rows`` and
-    the oracle has ``eval_rows``, the samples are evaluated as rows instead,
-    and a stride of them also through the scalar callables: a sample whose
-    values differ in any bit is a violation.  So is a sample with y != x
-    any of whose values is NaN or infinite, from a call that raised
+    Every sample calls grad f(x), f(x), L(x, R) and f(y), in that order.
+    When the objective has ``eval_rows`` and ``grad_rows`` and the oracle
+    has ``eval_rows``, the samples are evaluated as rows instead, and a
+    stride of them also through the scalar callables: a sample whose
+    values differ in any bit is a violation.  So is a sample any of whose
+    values is NaN or infinite, from a call that raised
     ``OverflowError`` or from overflow (huge radii).  ``violations`` counts
     each failing sample once, so it never exceeds ``spec.num_points``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         xs, radii, ys = _validity_samples(spec, problem.dim)
         diffs = ys - xs
-        dist_sq = row_dots(diffs, diffs)
-        kept = dist_sq != 0.0
         failed = np.zeros(spec.num_points, dtype=bool)
         if (problem.eval_rows is None or problem.grad_rows is None
                 or oracle.eval_rows is None):
             values = _scalar_values(problem, oracle, xs, radii, ys,
-                                    np.flatnonzero(kept))
+                                    np.arange(spec.num_points))
         else:
             values = np.column_stack((
                 problem.grad_rows(xs), problem.eval_rows(xs),
@@ -183,18 +181,16 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
             picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
             failed[picks] = _rows_differing(_scalar_values(
                 problem, oracle, xs, radii, ys, picks), values[picks])
-            values = values[kept]
-        lin = row_dots(values[:, :-3], diffs[kept])
+        lin = row_dots(values[:, :-3], diffs)
         fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
-        dist_sq = dist_sq[kept]
-        rhs = 0.5 * lvals * dist_sq
+        rhs = 0.5 * lvals * row_dots(diffs, diffs)
         lhs = np.abs(fy - fx - lin)
         eps = float(np.finfo(np.float64).eps)
         noise = 8.0 * eps * (np.abs(fx) + np.abs(fy) + np.abs(lin)) + 1e-300
         # as in a running max from 0.0, a NaN ratio is never the worst
         worst_ratio = float(np.fmax.reduce(lhs / (rhs + noise), initial=0.0))
-        failed[kept] |= (~np.isfinite(values).all(axis=1)
-                         | (lhs > rhs * (1.0 + 1e-10) + noise))
+        failed |= (~np.isfinite(values).all(axis=1)
+                   | (lhs > rhs * (1.0 + 1e-10) + noise))
     return CheckReport(name=name, violations=int(failed.sum()), stats={
         "generator": GENERATOR_ID,
         "seed": spec.seed,

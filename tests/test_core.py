@@ -60,6 +60,15 @@ class TestComputeRTilde:
         with pytest.raises(ZeroOracleError):
             one_step(dead, problem, np.ones(2), 0.3)
 
+    def test_negative_oracle_at_inflated_radius_names_it(self):
+        # L = 1 at R_k = 0.1 inflates R~_k to ||grad f(ones)|| = 2 sqrt(2),
+        # where the oracle turns negative
+        problem, _ = quadratic(2)
+        oracle = Lfso(eval=lambda x, r: 1.0 if r < 1.0 else -3.0)
+        with pytest.raises(ValueError,
+                           match=r"^oracle value must be >= 0, got -3\.0$"):
+            one_step(oracle, problem, np.ones(2), 0.1)
+
     def test_gradient_bound_substitution(self):
         problem = GradientOracle(
             dim=2, eval=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
@@ -513,6 +522,17 @@ class TestNonFiniteStep:
                 "^lfso iteration diverged at k=0: "
                 "overflow encountered in square$")):
             run_lfso_gd(oracle, problem, np.ones(2), config)
+
+    def test_overflowing_stepsize_names_k(self):
+        # eta / L is inf at the subnormal L = 1e-310, and inf * 0 in the
+        # product with g = (1e-10, 0) would be NaN with a numpy warning
+        problem, _ = quadratic(2)
+        config = SolverConfig(r_policy=RPolicy.constant(1e300), max_iters=3)
+        with pytest.raises(NonFiniteValueError, match=(
+                r"^lfso iteration diverged at k=0: "
+                r"stepsize eta / L\(x, R~_k\) is not finite: inf$")):
+            run_lfso_gd(Lfso(eval=lambda x, r: 1e-310), problem,
+                        np.array([5e-11, 0.0]), config)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_non_finite_radius_names_k(self, radius):

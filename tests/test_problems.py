@@ -3,6 +3,7 @@ import gc
 import linecache
 import math
 import os
+import re
 import sys
 import threading
 import weakref
@@ -89,10 +90,24 @@ class TestNormPower:
             assert all(a <= b + 1e-14 for a, b in zip(h_pp, h_pp[1:]))
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            make_norm_power(0, 1)
-        with pytest.raises(ValueError):
-            make_norm_power(3, 0)
+        # truncating a non-integer would build another problem: p = 2.5
+        # as p = 2
+        for d, p in [(0, 1), (3, 0), (3, 2.5), (3.9, 2), (3, math.inf),
+                     (math.inf, 2), (3, math.nan), (math.nan, 2)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"need integers d >= 1 and p >= 1, got d={d}, p={p}")):
+                make_norm_power(d, p)
+
+    def test_integral_arguments_of_other_types_accepted(self):
+        problem, _ = make_norm_power(np.int64(3), 2.0)
+        assert problem.g.dim == 3
+        assert problem.h(2.0) == 4.0
+
+    def test_p1_second_derivative_is_positive_zero(self):
+        problem, _ = make_norm_power(3, 1)
+        for t in (0.0, 1.0, math.inf, math.nan):
+            value = problem.h_double_prime(t)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestLpRegression:
@@ -106,6 +121,12 @@ class TestLpRegression:
         bound = objective.grad_norm_bound(x)
         assert bound == pytest.approx(4.0 * math.sqrt(10.0), rel=1e-12)
         assert bound >= norm * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("p", [2.7, math.inf, math.nan])
+    def test_non_integer_p_rejected(self, p):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p must be an integer >= 1, got {p}")):
+            make_lp_regression(np.eye(3), np.zeros(3), p)
 
     def test_p1_is_least_squares(self):
         problem, _ = make_lp_regression(np.eye(4), np.zeros(4), 1)
@@ -410,6 +431,35 @@ class TestQuarticProblem:
         oracle = QuarticProblem().lfso()
         assert oracle.eval(np.array([1.0]), 0.1) == pytest.approx(24.24)
         assert oracle.eval(np.array([0.0]), 0.0) == 0.0
+
+    def test_is_the_lp_family_at_one_by_one_identity(self):
+        # x^4 = ||A x - b||_4^4 at A = [[1]], b = 0, p = 2, whose oracle
+        # coef * (|x|^2 + row_pow * R^2) has coef = 24 and row_pow = 1.
+        # f and grad f take the same float operations.  L takes five
+        # roundings on the quartic side (x**2, r**2, two products by 24,
+        # the sum) and four on the lp side (the two squares, the sum, the
+        # product by coef), each of nonnegative terms, so both lie within
+        # gamma_5 and gamma_4 of the exact 24 (x^2 + R^2), and
+        # gamma_5 + gamma_4 <= gamma_9 (Higham's gamma_n = n u / (1 - n u)).
+        quartic = QuarticProblem()
+        lp, lp_oracle = make_lp_regression(np.eye(1), np.zeros(1), 2)
+        assert (lp.coef, lp.row_pow) == (24.0, 1.0)
+        q_obj, lp_obj = quartic.objective(), lp.objective()
+        q_oracle = quartic.lfso()
+        u = float(np.finfo(np.float64).eps) / 2.0
+
+        def gamma(n):
+            return n * u / (1.0 - n * u)
+
+        for t in np.linspace(-3.0, 3.0, 61).tolist():
+            x = np.array([t])
+            assert bits(q_obj.eval(x)) == bits(lp_obj.eval(x))
+            assert q_obj.grad(x).tobytes() == lp_obj.grad(x).tobytes()
+            for r in np.geomspace(1e-3, 3.0, 31).tolist():
+                q_val, lp_val = q_oracle.eval(x, r), lp_oracle.eval(x, r)
+                # the exact value is at most q_val / (1 - gamma_5)
+                assert (abs(q_val - lp_val)
+                        <= gamma(9) / (1.0 - gamma(5)) * q_val)
 
 
 def squared_norm(d, rows=True):

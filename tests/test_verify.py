@@ -432,6 +432,49 @@ class TestNonFiniteSamples:
         assert check_monotone_in_R(oracle, spec, 3).violations == 50
 
 
+def plant_sample_at_centre(monkeypatch, i):
+    """Make ball point i of every validity check its own centre, y = x,
+    a draw no seed gives."""
+    draw = verify._validity_samples
+
+    def planted(spec, d):
+        xs, radii, ys = draw(spec, d)
+        ys[i] = xs[i]
+        return xs, radii, ys
+    monkeypatch.setattr(verify, "_validity_samples", planted)
+
+
+class TestSampleAtCentre:
+    """A sample with y = x is evaluated like every other: its remainder and
+    bound are both 0, so it passes, unless a value is not finite."""
+
+    def test_passes_on_both_paths(self, monkeypatch):
+        objective, oracle = SUITE_PAIRS["norm2-pow p=2"]
+        spec = SampleSpec(num_points=200, seed=0)
+        clean = check_lfso_validity(objective, oracle, spec)
+        plant_sample_at_centre(monkeypatch, 5)
+        rows = check_lfso_validity(objective, oracle, spec)
+        assert rows.violations == 0
+        assert rows.stats["worst_ratio"] <= clean.stats["worst_ratio"]
+        assert (check_lfso_validity(*scalar_only(objective, oracle),
+                                    spec).render() == rows.render())
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    def test_non_finite_value_counts_once(self, monkeypatch, with_rows):
+        # sample 5 is not one the row path also sends through the scalar
+        # callables, so only its NaN oracle value can fail it
+        plant_sample_at_centre(monkeypatch, 5)
+        objective = SUITE_PAIRS["quadratic+constant"][0]
+        spec = SampleSpec(num_points=200, seed=0)
+        centre = verify._validity_samples(spec, objective.dim)[0][5]
+        oracle = Lfso(
+            eval=lambda x, r: math.nan if np.array_equal(x, centre) else 2.0,
+            eval_rows=(lambda xs, radii: np.where(
+                (xs == centre).all(axis=1), math.nan, 2.0))
+            if with_rows else None)
+        assert check_lfso_validity(objective, oracle, spec).violations == 1
+
+
 class TestTraceCheck:
     def test_quartic_run_clean_and_inflates_early(self):
         trace = quartic_run()

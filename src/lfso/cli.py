@@ -11,6 +11,7 @@ Exit statuses: 0 ok, 1 check violations, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -79,16 +80,14 @@ class ExperimentConfig:
     data_path: Optional[str] = None
 
     def validate(self) -> None:
-        """Check d, p and a regression-file run's data path before any
-        build.  build_experiment and execute reject an unknown problem or
-        solver, the problem builders check p again, and the solvers check
-        eta, max_iters and grad_tol."""
+        """Check d and p before any build or file read.  build_experiment
+        rejects an unknown problem and a regression-file run without a data
+        path, execute an unknown solver, the problem builders check p again,
+        and the solvers check eta, max_iters and grad_tol."""
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
-        if self.problem == "regression-file" and not self.data_path:
-            raise ConfigError("regression-file needs data_path (--data)")
 
 
 @dataclass
@@ -138,59 +137,47 @@ def _load_x0(spec: str, d: int) -> np.ndarray:
     return np.array(vals, dtype=np.float64)
 
 
-def _policy_from_selector(selector: str, bundle_kind: str,
-                          composition: Optional[CompositionProblem],
-                          regression: Optional[LpRegressionProblem]) -> RPolicy:
-    if selector == "default":
-        selector = {"norm2-pow": "grad-g-norm",
-                    "lp-norm": "residual-inf",
-                    "regression-file": "residual-inf",
-                    "quartic": "constant:0.1"}[bundle_kind]
-    if selector.startswith("constant:"):
-        text = selector.split(":", 1)[1]
-        try:
-            c = float(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for r_policy: {text!r}") from exc
-        return RPolicy.constant(c)
-    if selector == "grad-g-norm":
-        if composition is None:
-            raise ConfigError("grad-g-norm radius policy needs a composition problem")
-        return RPolicy.grad_g_norm(composition.g.grad)
-    if selector == "residual-inf":
-        if regression is None:
-            raise ConfigError("residual-inf radius policy needs a regression problem")
-        return RPolicy.residual_inf_norm(regression.a, regression.b)
-    raise ConfigError(f"unknown r_policy selector: {selector!r}")
+def _constant_policy(selector: str) -> RPolicy:
+    if not selector.startswith("constant:"):
+        raise ConfigError(f"unknown r_policy selector: {selector!r}")
+    text = selector.split(":", 1)[1]
+    try:
+        c = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for r_policy: {text!r}") from exc
+    return RPolicy.constant(c)
 
 
 def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
+    """Build ``cfg.problem`` with its own radius policy, replaced by a
+    constant one when ``cfg.r_policy`` is ``constant:<c>``."""
     composition = None
     regression = None
     if cfg.problem == "norm2-pow":
         composition, lfso = make_norm_power(cfg.d, cfg.p)
         objective = composition.objective()
-        d = cfg.d
-    elif cfg.problem == "lp-norm":
-        regression, lfso = make_lp_regression(np.eye(cfg.d), np.zeros(cfg.d), cfg.p)
-        objective = regression.objective()
-        d = cfg.d
-    elif cfg.problem == "regression-file":
-        a, b = load_regression_data(cfg.data_path)
+        policy = RPolicy.grad_g_norm(composition.g.grad)
+    elif cfg.problem in ("lp-norm", "regression-file"):
+        if cfg.problem == "lp-norm":
+            a, b = np.eye(cfg.d), np.zeros(cfg.d)
+        elif not cfg.data_path:
+            raise ConfigError("regression-file needs data_path (--data)")
+        else:
+            a, b = load_regression_data(cfg.data_path)
         regression, lfso = make_lp_regression(a, b, cfg.p)
         objective = regression.objective()
-        d = regression.d
+        policy = RPolicy.residual_inf_norm(regression.a, regression.b)
     elif cfg.problem == "quartic":
         quartic = QuarticProblem()
         objective = quartic.objective()
         lfso = quartic.lfso()
-        d = 1
+        policy = RPolicy.constant(0.1)
     else:
         raise ConfigError(f"unknown problem: {cfg.problem!r}")
-    policy = _policy_from_selector(cfg.r_policy, cfg.problem,
-                                   composition, regression)
+    if cfg.r_policy != "default":
+        policy = _constant_policy(cfg.r_policy)
     return ExperimentBundle(objective=objective, lfso=lfso, r_policy=policy,
-                            x0=_load_x0(cfg.x0, d),
+                            x0=_load_x0(cfg.x0, objective.dim),
                             composition=composition, regression=regression)
 
 
@@ -260,15 +247,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _figure_runs(figure: str, max_iters: int):
-    """Yield (p, config) pairs for one figure's five runs."""
-    problem, solver, eta, _ = FIGURE_RUNS[figure]
-    for p in FIGURE_PS:
-        yield p, ExperimentConfig(
-            problem=problem, solver=solver, p=p, d=10, max_iters=max_iters,
-            eta=fig1a_eta(p, np.ones(10)) if eta is None else eta)
-
-
 def reproduce_figure(figure: str, out_dir: str,
                      max_iters: int = 10_000) -> list:
     """Run one figure's five experiments, write per-p CSVs and one SVG.
@@ -277,10 +255,14 @@ def reproduce_figure(figure: str, out_dir: str,
     """
     if figure not in FIGURES:
         raise ConfigError(f"figure must be one of {FIGURES}, got {figure!r}")
+    problem, solver, eta, title = FIGURE_RUNS[figure]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     curves = []
-    for p, cfg in _figure_runs(figure, max_iters):
+    for p in FIGURE_PS:
+        cfg = ExperimentConfig(
+            problem=problem, solver=solver, p=p, d=10, max_iters=max_iters,
+            eta=fig1a_eta(p, np.ones(10)) if eta is None else eta)
         bundle = build_experiment(cfg)
         trace = execute(cfg, bundle)
         path = os.path.join(out_dir, f"{figure}_p{p}.csv")
@@ -290,7 +272,7 @@ def reproduce_figure(figure: str, out_dir: str,
         curves.append((f"p={p}", list(range(len(ratios))), ratios))
         print(summarize_trace(trace, f"{figure} p={p} eta={cfg.eta:g}"))
     svg_path = os.path.join(out_dir, f"{figure}.svg")
-    _svg.write_log_plot(svg_path, curves, FIGURE_RUNS[figure][3],
+    _svg.write_log_plot(svg_path, curves, title,
                         "iteration k", "grad norm ratio")
     written.append(svg_path)
     return written
@@ -408,14 +390,12 @@ def verify_all(seed: int, include_controls: bool = False):
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    timings_file = None
-    if args.timings is not None:
-        # opened before the suite runs, so a bad path fails fast
-        timings_file = open(args.timings, "w", encoding="utf-8")
-    text, total, seconds = verify_all(args.seed, args.include_controls)
-    print(text, end="")
-    if timings_file is not None:
-        with timings_file:
+    # opened before the suite runs, so a bad path fails fast
+    with (contextlib.nullcontext() if args.timings is None
+          else open(args.timings, "w", encoding="utf-8")) as timings_file:
+        text, total, seconds = verify_all(args.seed, args.include_controls)
+        print(text, end="")
+        if timings_file is not None:
             json.dump(seconds, timings_file, indent=1)
             timings_file.write("\n")
     return 0 if total == 0 else 1
@@ -435,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     run.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
     run.add_argument("--r-policy", dest="r_policy", default=None,
-                     help="default | constant:<c> | grad-g-norm | residual-inf")
+                     help="default | constant:<c>")
     run.add_argument("--x0", default=None, help="'ones' or a file of floats")
     run.add_argument("--out", dest="out_path", default=None)
     run.add_argument("--solver", choices=("lfso", "fixed"), default=None)

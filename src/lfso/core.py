@@ -198,7 +198,8 @@ class RPolicy:
     @staticmethod
     def constant(c: float) -> "RPolicy":
         if not (c > 0 and np.isfinite(c)):
-            raise ValueError(f"constant radius must be positive, got {c}")
+            raise ValueError("constant radius must be positive and finite, "
+                             f"got {c}")
         return RPolicy("constant", lambda x: c)
 
     @staticmethod
@@ -212,6 +213,23 @@ class RPolicy:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         return RPolicy("residual-inf", lambda x: residual_inf(a, b, x))
+
+
+def _whole_count(name: str, value) -> int:
+    """``value`` as an int, if it is a whole number >= 1."""
+    if not (value >= 1 and (isinstance(value, int)
+                            or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+    return int(value)
+
+
+def _budget(max_iters, grad_tol: float) -> int:
+    """Both solvers' check of their stopping settings; returns max_iters as
+    an int."""
+    max_iters = _whole_count("max_iters", max_iters)
+    if not (grad_tol >= 0.0):
+        raise ValueError(f"grad_tol must be >= 0, got {grad_tol}")
+    return max_iters
 
 
 @dataclass(frozen=True)
@@ -229,10 +247,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.eta < 2.0):
             raise ValueError(f"eta must be in (0, 2), got {self.eta}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.grad_tol >= 0.0):
-            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        object.__setattr__(self, "max_iters",
+                           _budget(self.max_iters, self.grad_tol))
 
 
 class Termination(enum.Enum):
@@ -465,9 +481,5 @@ def run_fixed_gd(problem: GradientOracle, x0: Vector, eta: float,
     """
     if not (eta > 0 and np.isfinite(eta)):
         raise ValueError(f"eta must be positive, got {eta}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not (grad_tol >= 0.0):
-        raise ValueError(f"grad_tol must be >= 0, got {grad_tol}")
-    return _descend(problem, x0, _fixed_step(eta), "fixed", max_iters,
-                    grad_tol, keep_iterates)
+    return _descend(problem, x0, _fixed_step(eta), "fixed",
+                    _budget(max_iters, grad_tol), grad_tol, keep_iterates)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (GradientOracle, Lfso, RPolicy, RunTrace, SolverConfig,
-                   euclidean_norm, row_dots, run_lfso_gd)
+                   _whole_count, euclidean_norm, row_dots, run_lfso_gd)
 from .errors import (AssumptionUnmetError, InsufficientDataError,
                      MissingDiagnosticsError)
 from .problems import CompositionProblem, LpRegressionProblem, QuarticProblem
@@ -46,8 +46,8 @@ class SampleSpec:
     r_range: tuple = (0.1, 2.0)
 
     def __post_init__(self) -> None:
-        if self.num_points < 1:
-            raise ValueError("num_points must be >= 1")
+        object.__setattr__(self, "num_points",
+                           _whole_count("num_points", self.num_points))
         for label, (low, high) in (("x_box", self.x_box),
                                    ("r_range", self.r_range)):
             if not (math.isfinite(low) and math.isfinite(high)):
@@ -347,7 +347,7 @@ def check_composition_run(problem: CompositionProblem, trace: RunTrace,
         if rec.r_k != euclidean_norm(problem.g.grad(x)):
             raise MissingDiagnosticsError(
                 f"R_k at k={rec.k} is not ||grad g(x_k)||; "
-                "run with the grad-g-norm radius policy")
+                "run with RPolicy.grad_g_norm(problem.g.grad)")
         inflation = rec.r_tilde_k / rec.r_k
         max_d = max(max_d, inflation)
         if not (1.0 - 1e-12 <= inflation <= d_cap + 1e-12):

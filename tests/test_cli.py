@@ -2,10 +2,20 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from lfso import _svg, cli
+from lfso.core import euclidean_norm
+from lfso.problems import load_regression_data
 from lfso.verify import fit_linear_rate
+
+
+def write_system(tmp_path):
+    """A 3 x 4 regression-file system; returns its path."""
+    data = tmp_path / "system.txt"
+    data.write_text("3 4\n1 0 0 0\n0 1 0 0\n0 0 1 1\n1 -2 0.5\n")
+    return data
 
 
 def run_cli(args):
@@ -157,10 +167,39 @@ class TestRunCommand:
                         "constant:0.5", "--max-iters", "3", "--out", out]) == 0
         assert read_csv(out)["R"][0] == 0.5
 
-    def test_policy_problem_mismatch_exits_2(self, tmp_path, capsys):
-        assert run_cli(["run", "--problem", "quartic", "--r-policy",
-                        "grad-g-norm", "--out", tmp_path / "t.csv"]) == 2
-        assert "composition" in capsys.readouterr().err
+    @pytest.mark.parametrize("problem", cli.PROBLEMS)
+    @pytest.mark.parametrize("name", ["grad-g-norm", "residual-inf"])
+    def test_policy_kind_names_are_unknown_selectors(self, tmp_path, capsys,
+                                                     problem, name):
+        # each problem's own radius is its default, not a selector
+        out = tmp_path / "t.csv"
+        args = ["run", "--problem", problem, "--r-policy", name, "--out", out]
+        if problem == "regression-file":
+            args += ["--data", write_system(tmp_path)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown r_policy selector: {name!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", cli.PROBLEMS)
+    def test_each_problem_builds_its_own_radius(self, tmp_path, problem):
+        data = write_system(tmp_path)
+        x0 = cli.build_experiment(cli.ExperimentConfig(
+            problem=problem, p=2, data_path=data)).x0
+        if problem == "norm2-pow":
+            expected = euclidean_norm(2.0 * x0)  # ||grad g(x0)||, g = ||x||^2
+        elif problem == "lp-norm":
+            expected = np.max(np.abs(x0))
+        elif problem == "regression-file":
+            a, b = load_regression_data(data)
+            expected = np.max(np.abs(a @ x0 - b))
+        else:
+            expected = 0.1
+        for r_policy, radius in (("default", expected),
+                                 ("constant:0.25", 0.25)):
+            bundle = cli.build_experiment(cli.ExperimentConfig(
+                problem=problem, p=2, data_path=data, r_policy=r_policy))
+            assert bundle.r_policy(bundle.x0) == radius
 
     def test_unknown_policy_exits_2(self, tmp_path):
         assert run_cli(["run", "--problem", "quartic", "--r-policy",
@@ -240,7 +279,7 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("problem, r_policy", [
-        ("quartic", "constant:0.5"), ("norm2-pow", "residual-inf")])
+        ("quartic", "constant:0.5"), ("norm2-pow", "default")])
     def test_r_policy_with_fixed_solver_exits_2(self, tmp_path, capsys,
                                                  problem, r_policy):
         out = tmp_path / "x.csv"
@@ -262,8 +301,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag, value, solver, message", [
         ("--eta", "3.0", "lfso", "eta must be in (0, 2), got 3.0"),
         ("--eta", "-1", "fixed", "eta must be positive, got -1.0"),
-        ("--max-iters", "0", "lfso", "max_iters must be >= 1, got 0"),
-        ("--max-iters", "0", "fixed", "max_iters must be >= 1, got 0")])
+        ("--max-iters", "0", "lfso",
+         "max_iters must be a whole number >= 1, got 0"),
+        ("--max-iters", "0", "fixed",
+         "max_iters must be a whole number >= 1, got 0")])
     def test_bad_solver_setting_exits_2(self, tmp_path, capsys, flag, value,
                                         solver, message):
         # the solvers make these checks before the run writes anything
@@ -329,6 +370,11 @@ class TestUsageErrors:
     def test_library_unknown_problem_raises(self, r_policy):
         cfg = cli.ExperimentConfig(problem="banana", r_policy=r_policy)
         with pytest.raises(cli.ConfigError, match="unknown problem: 'banana'"):
+            cli.build_experiment(cfg)
+
+    def test_library_regression_file_needs_data_path(self):
+        cfg = cli.ExperimentConfig(problem="regression-file")
+        with pytest.raises(cli.ConfigError, match="needs data_path \\(--data\\)"):
             cli.build_experiment(cfg)
 
     def test_library_unknown_solver_raises(self):
@@ -456,6 +502,18 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "timings.json" in captured.err
+
+    def test_timings_file_closed_when_suite_fails(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a leaked file would warn ResourceWarning, an error in this suite
+        def failing(seed, include_controls):
+            raise ValueError("suite failed")
+
+        monkeypatch.setattr(cli, "verify_all", failing)
+        path = tmp_path / "timings.json"
+        assert run_cli(["verify", "--timings", path]) == 2
+        assert capsys.readouterr().err == "error: suite failed\n"
+        assert path.read_text(encoding="utf-8") == ""
 
     def test_negative_seed_exits_2_before_timings_opened(self, tmp_path,
                                                          capsys):

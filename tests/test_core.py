@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -578,6 +579,9 @@ class TestConfigAndTypes:
     def test_nonpositive_constant_radius_rejected(self):
         with pytest.raises(ValueError):
             RPolicy.constant(0.0)
+        for c in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                RPolicy.constant(c)
 
     def test_callback_policy(self):
         problem, oracle = quadratic(3)
@@ -588,10 +592,31 @@ class TestConfigAndTypes:
         assert trace.records[0].r_k == pytest.approx(0.5 * math.sqrt(3.0))
 
     def test_bad_grad_tol_and_budget(self):
-        with pytest.raises(ValueError):
-            SolverConfig(r_policy=RPolicy.constant(1.0), grad_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(r_policy=RPolicy.constant(1.0), max_iters=0)
+        problem, oracle = quadratic(2)
+        policy = RPolicy.constant(1.0)
+        for grad_tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="grad_tol must be >= 0"):
+                SolverConfig(r_policy=policy, grad_tol=grad_tol)
+            with pytest.raises(ValueError, match="grad_tol must be >= 0"):
+                run_fixed_gd(problem, np.ones(2), 0.1, grad_tol=grad_tol)
+        for max_iters in (0, -3, 2.5, math.inf, math.nan, np.float64(0.5)):
+            message = f"max_iters must be a whole number >= 1, got {max_iters}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SolverConfig(r_policy=policy, max_iters=max_iters)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_fixed_gd(problem, np.ones(2), 0.1, max_iters=max_iters)
+        huge = 10 ** 400  # too large for a float, but a whole number
+        assert SolverConfig(r_policy=policy, max_iters=huge).max_iters == huge
+        # a whole float is a budget of that many steps, in both solvers;
+        # both steps halve x, so no run stops early
+        for max_iters in (3.0, np.float64(3.0), np.int64(3)):
+            config = SolverConfig(r_policy=policy, eta=0.5, max_iters=max_iters)
+            assert config.max_iters == 3 and type(config.max_iters) is int
+            for trace in (run_lfso_gd(oracle, problem, np.ones(2), config),
+                          run_fixed_gd(problem, np.ones(2), 0.25,
+                                       max_iters=max_iters)):
+                assert trace.num_steps == 3
+                assert trace.termination is Termination.MAX_ITERATIONS
 
     def test_as_vector_rejects_matrices_and_nans(self):
         with pytest.raises(ShapeMismatchError):

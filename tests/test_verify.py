@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -875,8 +876,17 @@ class TestRegressionQlinear:
 
 class TestSampleSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SampleSpec(num_points=0)
+        for n in (0, 2.5, math.inf, math.nan, np.float64(1.5)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"num_points must be a whole number >= 1, got {n}")):
+                SampleSpec(num_points=n)
+        quartic = QuarticProblem()
+        for n in (3.0, np.float64(3.0)):
+            spec = SampleSpec(num_points=n)
+            assert spec.num_points == 3 and type(spec.num_points) is int
+            report = check_lfso_validity(quartic.objective(), quartic.lfso(),
+                                         spec)
+            assert report.stats["samples"] == 3
         with pytest.raises(ValueError):
             SampleSpec(x_box=(1.0, -1.0))
         with pytest.raises(ValueError):

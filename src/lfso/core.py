@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -95,35 +96,26 @@ def euclidean_norm_rows(v: np.ndarray) -> np.ndarray:
 _iterate = contextvars.ContextVar("lfso_iterate", default=(None, None))
 
 
-def _per_iterate(compute: Callable, x: Vector, *operands):
-    """``compute(x, *operands)``, formed once per ``compute`` and operand
-    objects while ``x`` is the iterate the running solver is stepping from,
-    else afresh.  An entry holds its operands, so no other object can take
-    their ``id`` while the key lives; the scope ends with the step."""
-    scoped, values = _iterate.get()
-    if scoped is not x:
-        return compute(x, *operands)
-    key = (compute, *map(id, operands))
-    entry = values.get(key)
-    if entry is None:
-        entry = values[key] = (operands, compute(x, *operands))
-    return entry[1]
+def _per_iterate(compute: Callable) -> Callable:
+    """Wrap ``compute(*operands, x)`` in a reader that forms its value once
+    per operand objects while ``x`` is the iterate the running solver is
+    stepping from, else afresh.  An entry holds its operands, so no other
+    object can take their ``id`` while the key lives; the scope ends with
+    the step."""
+    @functools.wraps(compute)
+    def read(*args):
+        scoped, values = _iterate.get()
+        if scoped is not args[-1]:
+            return compute(*args)
+        key = (compute, *map(id, args[:-1]))
+        entry = values.get(key)
+        if entry is None:
+            entry = values[key] = (args, compute(*args))
+        return entry[1]
+    return read
 
 
-def _residual(x: Vector, a: np.ndarray, b: Vector) -> Vector:
-    r = a @ x - b
-    r.setflags(write=False)
-    return r
-
-
-def _residual_inf(x: Vector, a: np.ndarray, b: Vector) -> float:
-    return float(np.abs(residual(a, b, x)).max())
-
-
-def _inner_grad_norm(x: Vector, grad_g: Callable[[Vector], Vector]) -> float:
-    return euclidean_norm(grad_g(x))
-
-
+@_per_iterate
 def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
     """``A x - b`` as a read-only array.
 
@@ -133,21 +125,25 @@ def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
     with the same ``a`` and ``b`` objects; any other call computes it.
     ``a`` and ``b`` must not change in place while in use.
     """
-    return _per_iterate(_residual, np.asarray(x), a, b)
+    r = a @ np.asarray(x) - b
+    r.setflags(write=False)
+    return r
 
 
+@_per_iterate
 def residual_inf(a: np.ndarray, b: Vector, x: Vector) -> float:
     """``||A x - b||_inf``, shared like :func:`residual`, so the
     gradient-norm bound, the oracle and the radius policy of one iterate
     scan the residual once."""
-    return _per_iterate(_residual_inf, np.asarray(x), a, b)
+    return float(np.abs(residual(a, b, x)).max())
 
 
+@_per_iterate
 def inner_grad_norm(grad_g: Callable[[Vector], Vector], x: Vector) -> float:
     """``||grad_g(x)||_2``, shared like :func:`residual`, so the grad-g-norm
     radius policy and both oracle calls of a composition iteration form it
     once.  ``grad_g`` must be a pure function of ``x``."""
-    return _per_iterate(_inner_grad_norm, np.asarray(x), grad_g)
+    return euclidean_norm(grad_g(np.asarray(x)))
 
 
 @dataclass(frozen=True)
@@ -205,14 +201,14 @@ class RPolicy:
     @staticmethod
     def grad_g_norm(grad_g: Callable[[Vector], Vector]) -> "RPolicy":
         """R_k = ||grad g(x_k)||_2 for an inner function g."""
-        return RPolicy("grad-g-norm", lambda x: inner_grad_norm(grad_g, x))
+        return RPolicy("grad-g-norm", functools.partial(inner_grad_norm, grad_g))
 
     @staticmethod
     def residual_inf_norm(a: np.ndarray, b: Vector) -> "RPolicy":
         """R_k = ||A x_k - b||_inf, read from :func:`residual_inf`."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        return RPolicy("residual-inf", lambda x: residual_inf(a, b, x))
+        return RPolicy("residual-inf", functools.partial(residual_inf, a, b))
 
 
 def _whole_count(name: str, value) -> int:

@@ -88,9 +88,13 @@ class LpRegressionProblem:
 
     @property
     def coef(self) -> float:
-        """2p(2p-1) ||A||_2^2 2^{2p-3}, the oracle's leading factor."""
+        """2p(2p-1) ||A||_2^2 2^{2p-3}, the oracle's leading factor; inf
+        when it overflows."""
         p, norm_sq = self.p, float(self.spec_norm) ** 2
-        return 2 * p * (2 * p - 1) * norm_sq * float(2 ** (2 * p - 3))
+        try:
+            return math.ldexp(2 * p * (2 * p - 1) * norm_sq, 2 * p - 3)
+        except OverflowError:
+            return math.inf
 
     @property
     def row_pow(self) -> float:
@@ -154,11 +158,21 @@ class QuarticProblem:
         return Lfso(eval=lambda x, r: 24.0 * float(x[0]) ** 2 + 24.0 * float(r) ** 2)
 
 
+def _whole(name: str, value) -> bool:
+    """Whether ``value`` is a whole number >= 1; one too large for a float
+    raises ``ValueError`` saying so."""
+    try:
+        return value >= 1 and float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{name} is out of range: above the largest "
+                         "float64, about 1.8e308") from None
+
+
 def make_norm_power(d: int, p: int):
     """Problem f(x) = ||x||_2^{2p} as the composition of g = ||x||_2^2
     (l_g = mu_g = 2) with h(t) = t^p, paired with its oracle.
     """
-    if not all(v >= 1 and float(v).is_integer() for v in (d, p)):
+    if not (_whole("d", d) and _whole("p", p)):
         raise ValueError(f"need integers d >= 1 and p >= 1, got d={d}, p={p}")
     p = int(p)
     k = max(p - 2, 0)
@@ -181,16 +195,16 @@ def make_lp_regression(a: np.ndarray, b, p: int):
 
     Structure constants (max row norm, ||A||_2, condition number) are
     computed once here and cached on the problem, whose ``bound_coef``,
-    ``coef`` and ``row_pow`` every reader takes; a max row norm or Gram
-    matrix that is not finite raises :class:`NonFiniteValueError`.  The
-    objective, gradient, gradient-norm bound, oracle and
-    ``RPolicy.residual_inf_norm`` read the residual ``Ax - b`` through
-    :func:`lfso.core.residual`, which the solver shares across one step, so
-    one iterate costs one product with A and one with A^T.  Both the cached
-    constants and the shared residual assume that A and b do not change in
-    place while the problem is in use.  ``theory_ok`` on the problem says
-    whether the conditioning requirement for the Q-linear guarantee holds;
-    the solver runs either way.
+    ``coef`` and ``row_pow`` every reader takes; a max row norm, Gram
+    matrix or ``coef`` that is not finite raises
+    :class:`NonFiniteValueError`.  The objective, gradient, gradient-norm
+    bound, oracle and ``RPolicy.residual_inf_norm`` read the residual
+    ``Ax - b`` through :func:`lfso.core.residual`, which the solver shares
+    across one step, so one iterate costs one product with A and one with
+    A^T.  Both the cached constants and the shared residual assume that A
+    and b do not change in place while the problem is in use.
+    ``theory_ok`` on the problem says whether the conditioning requirement
+    for the Q-linear guarantee holds; the solver runs either way.
     """
     a = np.asarray(a, dtype=np.float64)
     b = as_vector(b)
@@ -199,7 +213,7 @@ def make_lp_regression(a: np.ndarray, b, p: int):
     if a.shape[0] != b.size:
         raise ShapeMismatchError(
             f"matrix has {a.shape[0]} rows but b has length {b.size}")
-    if not (p >= 1 and float(p).is_integer()):
+    if not _whole("p", p):
         raise ValueError(f"p must be an integer >= 1, got {p}")
     max_row_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", a, a))))
     if not math.isfinite(max_row_norm):
@@ -209,6 +223,10 @@ def make_lp_regression(a: np.ndarray, b, p: int):
     spec_norm, cond = _spectral_constants(a)
     problem = LpRegressionProblem(a=a, b=b, p=int(p), spec_norm=spec_norm,
                                   max_row_norm=max_row_norm, cond=cond)
+    if not math.isfinite(problem.coef):
+        raise NonFiniteValueError(
+            f"p = {problem.p} is too large for this A: the oracle's factor "
+            "2p(2p-1) ||A||_2^2 2^(2p-3) overflows")
     return problem, lp_regression_lfso(problem)
 
 

@@ -278,6 +278,28 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["norm2-pow", "--d", 10**400], "d is out of range: "),
+        (["norm2-pow", "--p", 10**400], "p is out of range: "),
+        (["lp-norm", "--p", 10**400], "p is out of range: "),
+        (["lp-norm", "--p", 513], "p = 513 is too large for this A: "),
+        (["lp-norm", "--p", 514, "--solver", "fixed", "--eta", "1e-2"],
+         "p = 514 is too large for this A: "),
+        (["regression-file", "--p", 600], "p = 600 is too large for this A: ")],
+        ids=["norm2-pow-huge-d", "norm2-pow-huge-p", "lp-norm-huge-p",
+             "lp-norm-p513", "lp-norm-fixed-p514", "regression-file-p600"])
+    def test_p_or_d_out_of_range_exits_2(self, tmp_path, capsys, args,
+                                         message):
+        # rejected while the problem is built, before any step
+        out = tmp_path / "x.csv"
+        if args[0] == "regression-file":
+            args = args + ["--data", write_system(tmp_path)]
+        assert run_cli(["run", "--problem", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("problem, r_policy", [
         ("quartic", "constant:0.5"), ("norm2-pow", "default")])
     def test_r_policy_with_fixed_solver_exits_2(self, tmp_path, capsys,

@@ -98,6 +98,14 @@ class TestNormPower:
                     f"need integers d >= 1 and p >= 1, got d={d}, p={p}")):
                 make_norm_power(d, p)
 
+    @pytest.mark.parametrize("d, p, name", [(10**400, 2, "d"),
+                                            (3, 10**400, "p")],
+                             ids=["d", "p"])
+    def test_int_beyond_float_range_rejected(self, d, p, name):
+        # float() of such an int overflows; the builder says why instead
+        with pytest.raises(ValueError, match=f"^{name} is out of range: "):
+            make_norm_power(d, p)
+
     def test_integral_arguments_of_other_types_accepted(self):
         problem, _ = make_norm_power(np.int64(3), 2.0)
         assert problem.g.dim == 3
@@ -161,6 +169,20 @@ class TestLpRegression:
         with pytest.raises(NonFiniteValueError,
                            match="Gram matrix entry that is not finite"):
             make_lp_regression(np.full((4, 1), 1e154), np.ones(4), 2)
+
+    def test_overflowing_coef_rejected(self):
+        # 2p(2p-1) 2^{2p-3} is finite up to p = 503; from p = 514 on the
+        # power of two alone overflows
+        problem, _ = make_lp_regression(np.eye(2), np.zeros(2), 503)
+        assert math.isfinite(problem.coef)
+        for p in (504, 514, 10**300):
+            with pytest.raises(NonFiniteValueError,
+                               match=f"^p = {p} is too large for this A"):
+                make_lp_regression(np.eye(2), np.zeros(2), p)
+
+    def test_p_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="^p is out of range: "):
+            make_lp_regression(np.eye(2), np.zeros(2), 10**400)
 
     def test_all_nan_matrix_rejected(self):
         with pytest.raises(NonFiniteValueError,

@@ -43,6 +43,19 @@ def as_vector(values) -> Vector:
     return x
 
 
+def _abs_max(v: Vector) -> float:
+    """``max |v_i|`` with the bits of ``np.max(np.abs(v), initial=0.0)``:
+    the scan of :func:`euclidean_norm`.  ``argmax`` finds the same entry
+    in about half the time on short vectors; an empty ``v``, and a NaN,
+    whose payload the reduction may change, take the reduction."""
+    a = np.abs(v)
+    if a.size:
+        m = float(a[a.argmax()])
+        if m == m:
+            return m
+    return float(np.maximum.reduce(a, initial=0.0))
+
+
 def euclidean_norm(v: Vector) -> float:
     """2-norm of a 1-D float vector, with rescaling outside [1e-140, 1e140],
     where squaring the entries would under- or overflow and report a
@@ -53,7 +66,12 @@ def euclidean_norm(v: Vector) -> float:
     The scan for the largest entry guards the dot product, which would
     raise an overflow warning on huge entries.
     """
-    m = float(np.abs(v).max(initial=0.0))
+    return _norm_given_max(v, _abs_max(v))
+
+
+def _norm_given_max(v: Vector, m: float) -> float:
+    """:func:`euclidean_norm` of ``v`` whose largest absolute entry is ``m``:
+    the norm without the scan, for a caller that already knows ``m``."""
     if m == 0.0 or 1e-140 < m < 1e140:
         return math.sqrt(v.dot(v))
     if not math.isfinite(m):
@@ -101,13 +119,14 @@ def _per_iterate(compute: Callable) -> Callable:
     per operand objects while ``x`` is the iterate the running solver is
     stepping from, else afresh.  An entry holds its operands, so no other
     object can take their ``id`` while the key lives; the scope ends with
-    the step."""
+    the step.  ``compute`` takes one or two operands, so the first and the
+    last of them are all of them."""
     @functools.wraps(compute)
     def read(*args):
         scoped, values = _iterate.get()
         if scoped is not args[-1]:
             return compute(*args)
-        key = (compute, *map(id, args[:-1]))
+        key = (compute, id(args[0]), id(args[-2]))
         entry = values.get(key)
         if entry is None:
             entry = values[key] = (args, compute(*args))
@@ -135,7 +154,7 @@ def residual_inf(a: np.ndarray, b: Vector, x: Vector) -> float:
     """``||A x - b||_inf``, shared like :func:`residual`, so the
     gradient-norm bound, the oracle and the radius policy of one iterate
     scan the residual once."""
-    return float(np.abs(residual(a, b, x)).max())
+    return _abs_max(residual(a, b, x))
 
 
 @_per_iterate
@@ -151,6 +170,10 @@ class GradientOracle:
     """First-order access to an objective: values, gradients, and an
     optional computable upper bound on the gradient norm.
 
+    ``evaluate(x)``, when given, returns ``(eval(x), grad(x))`` bit for
+    bit from one call; the solvers call it once per iterate in place of
+    ``grad`` and ``eval``.
+
     ``eval_rows(X)`` and ``grad_rows(X)``, when given, evaluate every row of
     a 2-D ``X`` at once: ``eval_rows(X)[i]`` and ``grad_rows(X)[i]`` must
     equal ``eval(X[i])`` and ``grad(X[i])`` bit for bit.  The solver never
@@ -163,6 +186,7 @@ class GradientOracle:
     grad_norm_bound: Optional[Callable[[Vector], float]] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluate: Optional[Callable[[Vector], tuple]] = None
 
 
 @dataclass(frozen=True)
@@ -170,12 +194,17 @@ class Lfso:
     """Local smoothness oracle: ``eval(x, R)`` bounds the Taylor remainder
     factor on ``B(x, R)`` and is non-decreasing in ``R``.
 
+    ``at(x)``, when given, returns the function ``R -> eval(x, R)``, bit
+    for bit, with the part that depends on ``x`` alone formed once; the
+    solver calls it once per step and evaluates it at R_k and R~_k.
+
     ``eval_rows(X, R)``, when given, returns ``eval(X[i], R[i])`` for every
     row of a 2-D ``X`` and entry of a 1-D ``R``, bit for bit.
     """
 
     eval: Callable[[Vector, float], float]
     eval_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    at: Optional[Callable[[Vector], Callable[[float], float]]] = None
 
 
 @dataclass(frozen=True)
@@ -330,18 +359,23 @@ def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
     """Step rule of the oracle-driven solver: the radius policy gives R_k,
     which is inflated to R~_k so the step stays inside B(x_k, R~_k), and the
     step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``.  ``bound``, when given,
-    stands in for ``||grad f(x_k)||`` in the inflation."""
+    stands in for ``||grad f(x_k)||`` in the inflation.  The oracle is
+    fixed at x_k once, through ``oracle.at`` when it has one.  The step's
+    largest entry is ``stepsize * g_max``, since rounding is monotone and
+    symmetric in sign, so its norm needs no scan of its own."""
     eta, r_policy = config.eta, config.r_policy
+    at = oracle.at or (lambda x: functools.partial(oracle.eval, x))
 
-    def rule(x: Vector, g: Vector, grad_norm: float):
+    def rule(x: Vector, g: Vector, grad_norm: float, g_max: float):
         r_k = r_policy(x)
         big_g = grad_norm
         if bound is not None:
             big_g = _checked(bound(x), "gradient-norm bound")
-        if not (r_k > 0 and math.isfinite(r_k)):
+        if not 0.0 < r_k < math.inf:
             _checked(r_k, "radius R_k")
             raise ValueError(f"r_k must be positive, got {r_k}")
-        l_at_r = _checked(oracle.eval(x, r_k), "oracle value L(x, R_k)")
+        oracle_at_x = at(x)
+        l_at_r = _checked(oracle_at_x(r_k), "oracle value L(x, R_k)")
         if l_at_r < 0:
             raise ValueError(f"oracle value must be >= 0, got {l_at_r}")
         if l_at_r == 0.0:
@@ -349,7 +383,7 @@ def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
                 "L(x, R_k) = 0 at a point with nonzero gradient; "
                 "the oracle does not match this objective")
         r_tilde = _checked(max(r_k, eta * big_g / l_at_r), "inflated radius")
-        l_k = _checked(oracle.eval(x, r_tilde), "oracle value L(x, R~_k)")
+        l_k = _checked(oracle_at_x(r_tilde), "oracle value L(x, R~_k)")
         if l_k < 0:
             raise ValueError(f"oracle value must be >= 0, got {l_k}")
         if l_k == 0.0:
@@ -360,7 +394,8 @@ def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
             raise NonFiniteValueError(
                 "stepsize eta / L(x, R~_k) is not finite: inf")
         step = stepsize * g
-        step_norm = _checked(euclidean_norm(step), "step norm")
+        step_norm = _checked(_norm_given_max(step, stepsize * g_max),
+                             "step norm")
         return step, (float(r_k), r_tilde, l_k, step_norm)
 
     return rule
@@ -371,7 +406,7 @@ def _fixed_step(eta: float) -> Callable:
     ``eta * grad f(x_k)``, recorded with the sentinel row."""
     l_k = 1.0 / eta
 
-    def rule(x: Vector, g: Vector, grad_norm: float):
+    def rule(x: Vector, g: Vector, grad_norm: float, g_max: float):
         return eta * g, (0.0, 0.0, l_k, eta * grad_norm)
 
     return rule
@@ -381,8 +416,12 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
              algorithm: str, max_iters: int, grad_tol: float,
              keep_iterates: bool) -> RunTrace:
     """The iteration both solvers share, and the one place that decides why
-    a run stops (see :class:`Termination`).  Each iterate is evaluated once;
-    ``rule(x, g, grad_norm)`` returns the step and the record's step fields
+    a run stops (see :class:`Termination`).  Each iterate is evaluated once,
+    by ``problem.evaluate`` when it has one, else by ``grad`` and then
+    ``eval``; an iterate where ``evaluate`` fails is evaluated the second
+    way, so the run ends with the error it gives.
+    ``rule(x, g, grad_norm, g_max)``, with ``g_max`` the largest
+    absolute entry of g, returns the step and the record's step fields
     in :class:`IterationRecord` order, from ``r_k`` on.  Each step scopes
     the values that :func:`residual` and its kin share to its iterate; the
     caller's scope comes back when the run returns or raises.
@@ -401,14 +440,29 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
     iterates = [x.copy()] if keep_iterates else None
     termination = Termination.MAX_ITERATIONS
     last_x, last_grad_norm = None, math.nan
+    evaluate = problem.evaluate
     scope = _iterate.set((None, None))
     try:
         with np.errstate(over="raise"):
             for k in range(max_iters + 1):
                 _iterate.set((x, {}))
-                g = problem.grad(x)
-                grad_norm = _checked(euclidean_norm(g), "gradient norm")
-                f_val = _checked(problem.eval(x), "objective value")
+                fast = evaluate is not None
+                if fast:
+                    try:
+                        f_val, g = evaluate(x)
+                    except (NonFiniteValueError, OverflowError,
+                            FloatingPointError):
+                        # grad, its norm check and eval, in that order,
+                        # say which value fails first
+                        fast = False
+                if not fast:
+                    g = problem.grad(x)
+                g_max = _abs_max(g)
+                grad_norm = _checked(_norm_given_max(g, g_max),
+                                     "gradient norm")
+                if not fast:
+                    f_val = problem.eval(x)
+                f_val = _checked(f_val, "objective value")
                 if k == max_iters:
                     break
                 if grad_norm == 0.0:
@@ -423,7 +477,7 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
                 if grad_norm == last_grad_norm and np.array_equal(x, last_x):
                     termination = Termination.STALLED
                     break
-                step, fields = rule(x, g, grad_norm)
+                step, fields = rule(x, g, grad_norm, g_max)
                 records.append(IterationRecord(k, f_val, grad_norm, *fields))
                 last_x, last_grad_norm = x, grad_norm
                 # finite: x and the step are, and an overflow raises

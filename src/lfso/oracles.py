@@ -85,6 +85,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
         L(x, R) = h''(u) * w^2 + h'(u) * l_g.
 
     Monotone in R because h' and h'' are non-decreasing and h'' >= 0.
+    ``at(x)`` forms ||grad g(x)|| once, and ``eval(x, R)`` is ``at(x)(R)``.
 
     The oracle has a row form when the inner ``g`` has ``grad_rows``; it
     calls ``h'`` and ``h''`` on each entry, as the scalar form does.
@@ -96,19 +97,27 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
     h_prime = problem.h_prime
     h_double_prime = problem.h_double_prime
 
+    def at(x: Vector) -> Callable[[float], float]:
+        grad_norm = inner_grad_norm(grad_g, x)
+
+        def at_x(r: float) -> float:
+            w = l_g * float(r) + grad_norm
+            v = w * w
+            u = v / (2.0 * mu_g)
+            hpp = float(h_double_prime(u))
+            if hpp < 0.0:
+                raise NegativeCurvatureError(
+                    f"h'' evaluated negative ({hpp}) at t={u}; "
+                    "the outer function must be convex")
+            return hpp * v + float(h_prime(u)) * l_g
+
+        return at_x
+
     def evaluate(x: Vector, r: float) -> float:
-        w = l_g * float(r) + inner_grad_norm(grad_g, x)
-        v = w * w
-        u = v / (2.0 * mu_g)
-        hpp = float(h_double_prime(u))
-        if hpp < 0.0:
-            raise NegativeCurvatureError(
-                f"h'' evaluated negative ({hpp}) at t={u}; "
-                "the outer function must be convex")
-        return hpp * v + float(h_prime(u)) * l_g
+        return at(x)(r)
 
     if g.grad_rows is None:
-        return Lfso(eval=evaluate)
+        return Lfso(eval=evaluate, at=at)
 
     def evaluate_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
         w = l_g * radii + euclidean_norm_rows(g.grad_rows(xs))
@@ -123,7 +132,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
                 "the outer function must be convex")
         return hpp * v + each_float(h_prime, u) * l_g
 
-    return Lfso(eval=evaluate, eval_rows=evaluate_rows)
+    return Lfso(eval=evaluate, eval_rows=evaluate_rows, at=at)
 
 
 def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
@@ -133,15 +142,20 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
 
     with ``coef = 2p(2p-1) ||A||_2^2 2^{2p-3}`` and ``row_pow = max_i
     ||a_i||_2^{2p-2}`` read from the problem.  At p = 1 both powers are 1,
-    giving the constant 2 ||A||_2^2.
+    giving the constant 2 ||A||_2^2.  ``at(x)`` forms
+    ||Ax-b||_inf^{2p-2} once, and ``eval(x, R)`` is ``at(x)(R)``.
     """
     a, b, k = problem.a, problem.b, 2 * int(problem.p) - 2
     coef, row_pow = problem.coef, problem.row_pow
 
-    def value(res_inf, r):
-        return coef * (ipow(res_inf, k) + row_pow * ipow(r, k))
+    def value(res_pow, r):
+        return coef * (res_pow + row_pow * ipow(r, k))
 
-    return Lfso(eval=lambda x, r: value(residual_inf(a, b, x), float(r)),
-                eval_rows=lambda xs, radii: value(
-                    np.abs(problem.residual_rows(xs)).max(axis=1), radii))
+    def at(x: Vector) -> Callable[[float], float]:
+        res_pow = ipow(residual_inf(a, b, x), k)
+        return lambda r: value(res_pow, float(r))
+
+    return Lfso(eval=lambda x, r: at(x)(r), at=at,
+                eval_rows=lambda xs, radii: value(ipow(
+                    np.abs(problem.residual_rows(xs)).max(axis=1), k), radii))
 

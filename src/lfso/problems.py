@@ -51,10 +51,17 @@ class CompositionProblem:
         h = self.h
         h_prime = self.h_prime
         rows = g.eval_rows is not None and g.grad_rows is not None
+
+        def evaluate(x: Vector):
+            t = float(g.eval(x))
+            grad = float(h_prime(t)) * g.grad(x)
+            return float(h(t)), grad
+
         return GradientOracle(
             dim=g.dim,
             eval=lambda x: float(h(float(g.eval(x)))),
             grad=lambda x: float(h_prime(float(g.eval(x)))) * g.grad(x),
+            evaluate=evaluate,
             eval_rows=(lambda xs: each_float(h, g.eval_rows(xs)))
             if rows else None,
             grad_rows=(lambda xs: each_float(h_prime, g.eval_rows(xs))[:, None]
@@ -118,13 +125,26 @@ class LpRegressionProblem:
         return np.matmul(self.a, xs[:, :, None])[:, :, 0] - self.b
 
     def objective(self) -> GradientOracle:
+        """f(x) = sum(q * r) and grad f(x) = 2p A^T q, from one residual
+        r = A x - b and one power q = r^(2p-1): ``ipow`` multiplies left to
+        right, so q * r equals r^(2p) bit for bit."""
         a, b, two_p, bound_coef = self.a, self.b, 2 * int(self.p), self.bound_coef
 
+        def power(x: Vector):
+            r = residual(a, b, x)
+            return ipow(r, two_p - 1), r
+
         def value(x: Vector) -> float:
-            return float(ipow(residual(a, b, x), two_p).sum())
+            q, r = power(x)
+            return float(np.add.reduce(q * r))
 
         def gradient(x: Vector) -> Vector:
-            return two_p * (a.T @ ipow(residual(a, b, x), two_p - 1))
+            return two_p * (a.T @ power(x)[0])
+
+        def evaluate(x: Vector):
+            q, r = power(x)
+            grad = two_p * (a.T @ q)
+            return float(np.add.reduce(q * r)), grad
 
         def grad_norm_bound(x: Vector) -> float:
             res_inf = residual_inf(a, b, x)
@@ -139,7 +159,8 @@ class LpRegressionProblem:
 
         return GradientOracle(dim=self.d, eval=value, grad=gradient,
                               grad_norm_bound=grad_norm_bound,
-                              eval_rows=value_rows, grad_rows=gradient_rows)
+                              eval_rows=value_rows, grad_rows=gradient_rows,
+                              evaluate=evaluate)
 
 
 class QuarticProblem:
@@ -177,7 +198,7 @@ def make_norm_power(d: int, p: int):
     p = int(p)
     k = max(p - 2, 0)
     g = GradientOracle(dim=int(d),
-                       eval=lambda x: float(x @ x),
+                       eval=lambda x: float(x.dot(x)),
                        grad=lambda x: 2.0 * x,
                        eval_rows=lambda xs: row_dots(xs, xs),
                        grad_rows=lambda xs: 2.0 * xs)

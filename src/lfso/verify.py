@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (GradientOracle, Lfso, RPolicy, RunTrace, SolverConfig,
-                   _whole_count, euclidean_norm, row_dots, run_lfso_gd)
+from .core import (_NORMAL_FLOOR, GradientOracle, Lfso, RPolicy, RunTrace,
+                   SolverConfig, _whole_count, euclidean_norm, row_dots,
+                   run_lfso_gd)
 from .errors import (AssumptionUnmetError, InsufficientDataError,
                      MissingDiagnosticsError)
 from .problems import CompositionProblem, LpRegressionProblem, QuarticProblem
@@ -31,8 +32,10 @@ _QLINEAR_BLOCK_BYTES = 1 << 20
 
 # The sampling checks evaluate row forms where a pair supplies them, and
 # then also send every 17th sample, the first included, through the scalar
-# callables the solver calls (59 of 1000 validity samples, 2 of 32 monotone
-# samples); any bit difference is a violation.
+# callables (59 of 1000 validity samples, 2 of 32 monotone samples); the
+# validity check sends the same samples through the solver's fast forms,
+# ``evaluate`` and ``at``, where the pair has them.  Any bit difference is
+# a violation.
 _CROSS_CHECK_STRIDE = 17
 
 
@@ -118,6 +121,27 @@ def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
     return values
 
 
+def _fast_values(problem: GradientOracle, oracle: Lfso, xs, radii,
+                 picks: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    """``scalar[:, :-1]``, the grad f(x), f(x) and L(x, R) of the samples
+    ``picks``, with each value the solver takes from a fast form instead:
+    grad f(x) and f(x) from ``problem.evaluate``, L(x, R) from
+    ``oracle.at``; a call that overflows gives inf."""
+    fast = scalar[:, :-1].copy()
+    for row, i in zip(fast, picks.tolist()):
+        x, r = xs[i], radii[i]
+        if problem.evaluate is not None:
+            try:
+                f, g = problem.evaluate(x)
+            except OverflowError:
+                f = g = math.inf
+            row[:-2] = g
+            row[-2] = f
+        if oracle.at is not None:
+            row[-1] = _or_inf(lambda: oracle.at(x)(r))
+    return fast
+
+
 def _validity_samples(spec: SampleSpec, d: int):
     """The (X, R, Y) samples of :func:`check_lfso_validity`: n x d centres,
     the n radii as a list and the n x d ball points."""
@@ -160,7 +184,10 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     When the objective has ``eval_rows`` and ``grad_rows`` and the oracle
     has ``eval_rows``, the samples are evaluated as rows instead, and a
     stride of them also through the scalar callables: a sample whose
-    values differ in any bit is a violation.  So is a sample any of whose
+    values differ in any bit is a violation.  The same stride of samples
+    goes through ``problem.evaluate`` and ``oracle.at``, where the pair has
+    them, and a value that differs in any bit from its scalar callable's is
+    a violation too.  So is a sample any of whose
     values is NaN or infinite, from a call that raised
     ``OverflowError`` or from overflow (huge radii).  ``violations`` counts
     each failing sample once, so it never exceeds ``spec.num_points``.
@@ -169,18 +196,22 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
         xs, radii, ys = _validity_samples(spec, problem.dim)
         diffs = ys - xs
         failed = np.zeros(spec.num_points, dtype=bool)
+        picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
         if (problem.eval_rows is None or problem.grad_rows is None
                 or oracle.eval_rows is None):
             values = _scalar_values(problem, oracle, xs, radii, ys,
                                     np.arange(spec.num_points))
+            scalar = values[picks]
         else:
             values = np.column_stack((
                 problem.grad_rows(xs), problem.eval_rows(xs),
                 oracle.eval_rows(xs, np.array(radii)),
                 problem.eval_rows(ys))).astype(np.float64, copy=False)
-            picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
-            failed[picks] = _rows_differing(_scalar_values(
-                problem, oracle, xs, radii, ys, picks), values[picks])
+            scalar = _scalar_values(problem, oracle, xs, radii, ys, picks)
+            failed[picks] = _rows_differing(scalar, values[picks])
+        if problem.evaluate is not None or oracle.at is not None:
+            failed[picks] |= _rows_differing(scalar[:, :-1], _fast_values(
+                problem, oracle, xs, radii, picks, scalar))
         lin = row_dots(values[:, :-3], diffs)
         fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
         rhs = 0.5 * lvals * row_dots(diffs, diffs)
@@ -264,7 +295,16 @@ def check_trace(trace: RunTrace, eta: float,
     for idx, rec in enumerate(trace.records):
         f_cur, f_next = f_values[idx], f_values[idx + 1]
         slack = 1e-12 * abs(f_cur) + 1e-300
-        gain = eta * (2.0 - eta) / (2.0 * rec.l_k) * rec.grad_norm ** 2
+        scale = eta * (2.0 - eta) / (2.0 * rec.l_k)
+        try:
+            square = rec.grad_norm ** 2
+        except OverflowError:
+            square = math.inf
+        if _NORMAL_FLOOR <= square < math.inf:
+            gain = scale * square
+        else:
+            # ||g_k||^2 alone over- or underflows though the gain may not
+            gain = scale * rec.grad_norm * rec.grad_norm
         margin = (f_cur - f_next) - gain
         worst_descent = min(worst_descent, margin)
         if margin < -slack:

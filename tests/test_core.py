@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfso
+from lfso import cli, core
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
                        Termination, as_vector, euclidean_norm,
                        euclidean_norm_rows, run_fixed_gd, run_lfso_gd)
@@ -14,6 +16,7 @@ from lfso.errors import (NonFiniteValueError, ShapeMismatchError,
                          ZeroOracleError)
 from lfso.problems import QuarticProblem, make_lp_regression, make_norm_power
 from lfso.verify import check_trace
+from test_problems import TestConcurrentRuns
 
 
 def quadratic(dim):
@@ -173,6 +176,96 @@ def test_each_iterate_evaluated_once(solver, eta, max_iters, grad_tol,
     assert trace.termination is termination
     assert trace.num_steps == steps
     assert calls == {"eval": steps + 1, "grad": steps + 1}
+
+
+@pytest.mark.parametrize("solver", ["lfso", "fixed"])
+def test_evaluate_replaces_eval_and_grad(solver):
+    # an objective with evaluate is evaluated by it alone, once per iterate
+    problem, oracle = quadratic(3)
+    calls = {"eval": 0, "grad": 0, "evaluate": 0}
+
+    def evaluate(x):
+        calls["evaluate"] += 1
+        return problem.eval(x), problem.grad(x)
+
+    fast = replace(counted(problem, calls), evaluate=evaluate)
+    if solver == "lfso":
+        config = SolverConfig(r_policy=RPolicy.constant(1.0), eta=0.5,
+                              max_iters=4)
+        trace = run_lfso_gd(oracle, fast, np.ones(3), config)
+    else:
+        trace = run_fixed_gd(fast, np.ones(3), 0.25, max_iters=4)
+    assert trace.num_steps == 4
+    assert calls == {"eval": 0, "grad": 0, "evaluate": 5}
+
+
+def shipped_runs():
+    """{label: (config, bundle)} of the 20 figure runs at 1000 iterations,
+    the verify suite's 11 runs and the oracle runs of both families from
+    1e52 * ones."""
+    runs = {}
+    for figure, (problem, solver, eta, _) in cli.FIGURE_RUNS.items():
+        for p in cli.FIGURE_PS:
+            cfg = cli.ExperimentConfig(
+                problem=problem, solver=solver, p=p, max_iters=1000,
+                eta=cli.fig1a_eta(p, np.ones(10)) if eta is None else eta)
+            runs[f"{figure} p={p}"] = cfg, cli.build_experiment(cfg)
+    for cfg in cli.SUITE_RUNS:
+        runs[f"suite {cli._suite_label(cfg)}"] = cfg, cli.build_experiment(cfg)
+    for problem in ("lp-norm", "norm2-pow"):
+        cfg = cli.ExperimentConfig(problem=problem, p=2)
+        bundle = replace(cli.build_experiment(cfg), x0=np.full(10, 1e52))
+        runs[f"{problem} p=2 from 1e52"] = cfg, bundle
+    return runs
+
+
+SHIPPED_RUNS = shipped_runs()
+
+
+@pytest.mark.parametrize("label", sorted(SHIPPED_RUNS))
+def test_fast_forms_leave_every_trace_unchanged(label):
+    # the solvers give the same bits with evaluate and at as with the
+    # scalar callables alone, as a tracer that rebuilds the pair runs them
+    cfg, bundle = SHIPPED_RUNS[label]
+    objective, oracle = bundle.objective, bundle.lfso
+    structured = cfg.problem != "quartic"
+    assert (objective.evaluate is not None) == structured
+    assert (oracle.at is not None) == structured
+    fingerprint = TestConcurrentRuns.fingerprint
+    fast = fingerprint(cli.execute(cfg, bundle))
+    for without in (replace(bundle, objective=replace(objective, evaluate=None)),
+                    replace(bundle, lfso=replace(oracle, at=None)),
+                    replace(bundle, objective=replace(objective, evaluate=None),
+                            lfso=replace(oracle, at=None))):
+        assert fingerprint(cli.execute(cfg, without)) == fast
+
+
+def outcome(cfg, bundle):
+    """The trace's fingerprint, or the message of the error the run ends
+    with."""
+    try:
+        return TestConcurrentRuns.fingerprint(cli.execute(cfg, bundle))
+    except NonFiniteValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("problem", ["lp-norm", "norm2-pow"])
+@pytest.mark.parametrize("solver", ["lfso", "fixed"])
+def test_fast_forms_end_diverging_runs_with_the_same_error(problem, solver):
+    # from huge starts the gradient norm, the objective or a product
+    # overflows; an iterate where evaluate fails is evaluated by grad, its
+    # norm check and eval, so the run names the value they name first
+    for p in (2, 3, 5):
+        cfg = cli.ExperimentConfig(problem=problem, p=p, solver=solver,
+                                   max_iters=3)
+        bundle = cli.build_experiment(cfg)
+        scalar = replace(bundle,
+                         objective=replace(bundle.objective, evaluate=None),
+                         lfso=replace(bundle.lfso, at=None))
+        for scale in np.geomspace(1e20, 1e160, 57):
+            x0 = np.full(10, scale)
+            assert (outcome(cfg, replace(bundle, x0=x0))
+                    == outcome(cfg, replace(scalar, x0=x0))), (p, scale)
 
 
 TINY = float(np.finfo(np.float64).tiny)
@@ -715,6 +808,31 @@ class TestEuclideanNormFastPath:
         for block in (vs, vs[np.abs(vs).max(axis=1) == 1.0]):
             for v, norm in zip(block, euclidean_norm_rows(block).tolist()):
                 assert same_bits(norm, euclidean_norm(v)), v[:3]
+
+    @pytest.mark.parametrize("d", [1, 10, 1000])
+    def test_step_norm_from_the_gradient_scan(self, d):
+        # the solver's step c * g has largest entry c * max|g_i| (rounding
+        # is monotone and symmetric in sign), so its norm takes that m:
+        # stepsizes that carry m across 1e-140 and 1e140, to subnormal
+        # steps and to 0
+        rng = np.random.default_rng(d + 3)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        for g_scale in (1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e300):
+            u = rng.normal(size=d)
+            g = u / np.abs(u).max() * g_scale
+            g_max = core._abs_max(g)
+            stepsizes = [0.0, tiny, 1e-320, 1e-310]
+            for edge in (self.EDGE, 1e140):
+                m = edge / g_max
+                stepsizes += [np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]
+            for c in stepsizes:
+                c = float(c)
+                if not 0.0 <= c * g_max < np.inf:
+                    continue
+                step = c * g
+                assert core._abs_max(step) == c * g_max, (g_scale, c)
+                assert same_bits(core._norm_given_max(step, c * g_max),
+                                 euclidean_norm(step)), (g_scale, c)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),

@@ -9,6 +9,7 @@ import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -532,19 +533,25 @@ class TestRowForms:
     """Each row form equals its scalar callable bit for bit: f(x), grad f(x),
     L(x, R) and f(y) on the validity check's full sample draws."""
 
-    @pytest.mark.parametrize("label", sorted(ROW_FORM_FAMILIES))
-    def test_rows_equal_scalar_calls(self, label):
-        objective, oracle, scale = ROW_FORM_FAMILIES[label]
+    @staticmethod
+    def samples(dim, scale):
+        """(seed, xs, radii, ys) of the validity check's draws for each
+        seed, with 50 rows also scaled below the plain range of
+        euclidean_norm, and above it where the values stay finite."""
         for seed in (0, 7, 42, 99, 123456):
             xs, radii, ys = _validity_samples(
-                SampleSpec(num_points=1000, seed=seed), objective.dim)
+                SampleSpec(num_points=1000, seed=seed), dim)
             radii = np.array(radii)
-            # rows and radii below the plain range of euclidean_norm, and
-            # above it where the values stay finite
             factors = (1e-150, scale) if scale > 1.0 else (1e-150,)
             xs = np.vstack([xs] + [f * xs[:50] for f in factors])
             ys = np.vstack([ys] + [f * ys[:50] for f in factors])
             radii = np.concatenate([radii] + [f * radii[:50] for f in factors])
+            yield seed, xs, radii, ys
+
+    @pytest.mark.parametrize("label", sorted(ROW_FORM_FAMILIES))
+    def test_rows_equal_scalar_calls(self, label):
+        objective, oracle, scale = ROW_FORM_FAMILIES[label]
+        for seed, xs, radii, ys in self.samples(objective.dim, scale):
             grads = objective.grad_rows(xs)
             fx = objective.eval_rows(xs)
             lvals = oracle.eval_rows(xs, radii)
@@ -554,6 +561,21 @@ class TestRowForms:
                 assert bits(fx[i]) == bits(objective.eval(x)), (seed, i)
                 assert bits(lvals[i]) == bits(oracle.eval(x, r)), (seed, i)
                 assert bits(fy[i]) == bits(objective.eval(y)), (seed, i)
+
+    @pytest.mark.parametrize("label", sorted(ROW_FORM_FAMILIES))
+    def test_fast_forms_equal_scalar_calls(self, label):
+        # evaluate(x) is (f(x), grad f(x)) and at(x)(R) is L(x, R), bit for
+        # bit, where the pair has them
+        objective, oracle, scale = ROW_FORM_FAMILIES[label]
+        assert objective.evaluate is not None or label == "quadratic+constant"
+        for seed, xs, radii, _ in self.samples(objective.dim, scale):
+            for i, (x, r) in enumerate(zip(xs, radii.tolist())):
+                f, g = objective.evaluate(x)
+                assert bits(f) == bits(objective.eval(x)), (seed, i)
+                assert bits(g) == bits(objective.grad(x)), (seed, i)
+                if oracle.at is not None:
+                    assert (bits(oracle.at(x)(r))
+                            == bits(oracle.eval(x, r))), (seed, i)
 
     def test_composition_without_inner_rows_keeps_scalar_path(self):
         problem = CompositionProblem(g=squared_norm(3, rows=False), l_g=2.0,
@@ -880,6 +902,23 @@ class TestSharedInnerGradNorm:
         trace = run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
         assert trace.num_steps == 5
         assert len(calls) == 2 * trace.num_steps + 1
+
+    def test_inner_value_formed_once_per_iterate(self):
+        # the objective's evaluate calls g once per iterate; its scalar
+        # eval and grad called it once each
+        problem, oracle = self.build()
+        inner, calls = problem.g, []
+
+        def g_eval(x):
+            calls.append(1)
+            return inner.eval(x)
+
+        problem = replace(problem, g=replace(inner, eval=g_eval))
+        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                              max_iters=5)
+        trace = run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
+        assert trace.num_steps == 5
+        assert len(calls) == trace.num_steps + 1
 
     def test_step_scope_keeps_no_gradient_alive(self):
         problem, oracle = self.build()

@@ -318,6 +318,60 @@ class TestRowFormEquivalence:
         assert check_monotone_in_R(planted, spec, 10).violations == 1
 
 
+class TestFastFormCheck:
+    """The validity check also compares the solver's fast forms,
+    ``evaluate`` and ``at``, with the scalar callables on its stride of
+    samples, on the row path and the scalar path."""
+
+    SPEC = SampleSpec(num_points=1000, seed=0)
+
+    @staticmethod
+    def pair(with_rows):
+        objective, oracle = SUITE_PAIRS["norm2-pow p=3"]
+        if not with_rows:
+            objective = replace(objective, eval_rows=None, grad_rows=None)
+        return objective, oracle
+
+    def first_centre(self, dim):
+        return verify._validity_samples(self.SPEC, dim)[0][0]
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    def test_one_ulp_off_evaluate_is_a_violation(self, with_rows):
+        objective, oracle = self.pair(with_rows)
+        x0 = self.first_centre(objective.dim)
+
+        def evaluate(x):
+            f, g = objective.evaluate(x)
+            if np.array_equal(x, x0):
+                f = float(np.nextafter(f, -np.inf))
+            return f, g
+
+        assert check_lfso_validity(objective, oracle, self.SPEC).violations == 0
+        planted = replace(objective, evaluate=evaluate)
+        assert check_lfso_validity(planted, oracle, self.SPEC).violations == 1
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    def test_one_ulp_off_at_is_a_violation(self, with_rows):
+        objective, oracle = self.pair(with_rows)
+        x0 = self.first_centre(objective.dim)
+
+        def at(x):
+            at_x = oracle.at(x)
+            if np.array_equal(x, x0):
+                return lambda r: float(np.nextafter(at_x(r), -np.inf))
+            return at_x
+
+        planted = replace(oracle, at=at)
+        assert check_lfso_validity(objective, planted, self.SPEC).violations == 1
+
+    def test_report_unchanged_without_fast_forms(self):
+        objective, oracle = self.pair(True)
+        assert (check_lfso_validity(objective, oracle, self.SPEC).render()
+                == check_lfso_validity(replace(objective, evaluate=None),
+                                       replace(oracle, at=None),
+                                       self.SPEC).render())
+
+
 class TestMonotoneCheck:
     def test_draws_match_per_sample_calls(self):
         spec = SampleSpec(num_points=16, seed=9, x_box=(-1.5, 0.5))
@@ -503,6 +557,36 @@ class TestTraceCheck:
         with pytest.raises(ValueError):
             check_trace(trace, 1.0)
 
+    @staticmethod
+    def huge_start_run(max_iters):
+        problem, oracle = make_lp_regression(np.eye(10), np.zeros(10), 2)
+        config = SolverConfig(
+            r_policy=RPolicy.residual_inf_norm(problem.a, problem.b),
+            max_iters=max_iters, use_grad_bound=True)
+        return run_lfso_gd(oracle, problem.objective(), np.full(10, 1e52),
+                           config)
+
+    def test_overflowing_squared_gradient_norm_reported(self):
+        # from 1e52 * ones, f = 1e209 and ||g|| = 1.26e157, whose square
+        # overflows though the descent gain does not
+        trace = self.huge_start_run(3)
+        assert trace.records[0].grad_norm == pytest.approx(
+            4e156 * math.sqrt(10.0))
+        report = check_trace(trace, 1.0)
+        assert report.stats["steps"] == 3
+        assert report.violations == 0
+
+    def test_subnormal_squared_gradient_norm_keeps_its_gain(self):
+        # the same run to gradient-underflow: below ||g|| = 1.5e-154 the
+        # square is subnormal or 0, and at k = 2813 (||g|| = 1.6e-162)
+        # the gain formed from it was 2.04e-217, not 1.06e-217
+        trace = self.huge_start_run(10_000)
+        assert trace.num_steps == 4100
+        assert trace.termination.value == "gradient-underflow"
+        rec = trace.records[2813]
+        assert rec.grad_norm ** 2 < np.finfo(np.float64).tiny
+        assert check_trace(trace, 1.0).violations == 0
+
     def test_empty_trace_passes(self):
         problem = GradientOracle(dim=2, eval=lambda x: float(x @ x),
                                  grad=lambda x: 2.0 * x)
@@ -564,7 +648,7 @@ class TestQuarticThreshold:
     def test_uninflated_solver_step_is_flagged(self, monkeypatch):
         # a step rule that moves by eta / L(x, R_k) and records R~_k = R_k
         def uninflated(oracle, bound, config):
-            def rule(x, g, grad_norm):
+            def rule(x, g, grad_norm, g_max):
                 r_k = config.r_policy(x)
                 l_k = oracle.eval(x, r_k)
                 step = (config.eta / l_k) * g

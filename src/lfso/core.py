@@ -16,7 +16,6 @@ runs.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import functools
 import math
@@ -66,17 +65,38 @@ def euclidean_norm(v: Vector) -> float:
     The scan for the largest entry guards the dot product, which would
     raise an overflow warning on huge entries.
     """
-    return _norm_given_max(v, _abs_max(v))
-
-
-def _norm_given_max(v: Vector, m: float) -> float:
-    """:func:`euclidean_norm` of ``v`` whose largest absolute entry is ``m``:
-    the norm without the scan, for a caller that already knows ``m``."""
+    m = _abs_max(v)
     if m == 0.0 or 1e-140 < m < 1e140:
         return math.sqrt(v.dot(v))
     if not math.isfinite(m):
         return m
     return m * float(np.linalg.norm(v / m))
+
+
+# Bounds on s = v . v inside which euclidean_norm's scan is sure to pick
+# sqrt(s), for v of n < 2**52 entries whose largest absolute entry is m.
+# A rounded square, or a rounded sum of nonnegative terms, is never below
+# any of its terms, so m >= 1e140 gives s >= fl(1e140 * 1e140).  For
+# 0 < m <= 1e-140 every rounded square is at most T = fl(1e-140 * 1e-140),
+# and each of the dot's n roundings grows its value by a factor of at most
+# 1 + 2**-53, plus at most 2**-1075 where it is subnormal, so s < 2 n T.
+_DOT_HIGH = 1e140 * 1e140
+_DOT_LOW = 2.0 * (1e-140 * 1e-140)
+
+
+def _loop_norm(v: Vector) -> float:
+    """:func:`euclidean_norm` of ``v``, bit for bit, for a caller under
+    ``np.errstate(over="raise")``: ``sqrt(v . v)`` when ``v . v`` lies in
+    the range where the scan would take it, without the scan; any other
+    ``v . v``, NaN included, or an overflowing one goes through
+    :func:`euclidean_norm`."""
+    try:
+        s = v.dot(v)
+    except FloatingPointError:
+        return euclidean_norm(v)
+    if v.size * _DOT_LOW < s < _DOT_HIGH:
+        return math.sqrt(s)
+    return euclidean_norm(v)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,59 +130,73 @@ def euclidean_norm_rows(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-# (iterate, values) of the step the running solver is taking; see _descend
-_iterate = contextvars.ContextVar("lfso_iterate", default=(None, None))
+def shared_key(name: str, *operands) -> tuple:
+    """The key under which a reader stores its value in a step's ``shared``
+    dict: ``name`` and the ids of its operands.  A reader forms it once,
+    when it is built, and holds its operands, so while the reader lives no
+    other object takes their ids and readers on other operands never read
+    its value."""
+    return (name, *map(id, operands))
 
 
-def _per_iterate(compute: Callable) -> Callable:
-    """Wrap ``compute(*operands, x)`` in a reader that forms its value once
-    per operand objects while ``x`` is the iterate the running solver is
-    stepping from, else afresh.  An entry holds its operands, so no other
-    object can take their ``id`` while the key lives; the scope ends with
-    the step.  ``compute`` takes one or two operands, so the first and the
-    last of them are all of them."""
-    @functools.wraps(compute)
-    def read(*args):
-        scoped, values = _iterate.get()
-        if scoped is not args[-1]:
-            return compute(*args)
-        key = (compute, id(args[0]), id(args[-2]))
-        entry = values.get(key)
-        if entry is None:
-            entry = values[key] = (args, compute(*args))
-        return entry[1]
-    return read
-
-
-@_per_iterate
 def residual(a: np.ndarray, b: Vector, x: Vector) -> Vector:
-    """``A x - b`` as a read-only array.
-
-    The objective, gradient, gradient-norm bound, oracle and radius policy
-    of a regression problem all read the residual of the same iterate, so
-    while a solver steps from ``x`` one product with A serves every call
-    with the same ``a`` and ``b`` objects; any other call computes it.
-    ``a`` and ``b`` must not change in place while in use.
-    """
-    r = a @ np.asarray(x) - b
+    """``A x - b`` as a read-only array."""
+    r = a.dot(np.asarray(x)) - b
     r.setflags(write=False)
     return r
 
 
-@_per_iterate
+def residual_inf_reader(a: np.ndarray, b: Vector) -> Callable:
+    """``(x, shared) -> ||A x - b||_inf``, stored in ``shared`` and formed
+    from the residual ``A x - b`` found there, where a reader on the same
+    ``a`` and ``b`` (the objective's ``evaluate``) left it.  So the radius
+    policy, the gradient-norm bound and the oracle of one regression step
+    scan one residual, and make no product with A of their own.  ``a`` and
+    ``b`` must not change in place while in use."""
+    res_key = shared_key("residual", a, b)
+    inf_key = shared_key("residual-inf", a, b)
+
+    def read(x: Vector, shared: dict) -> float:
+        r_inf = shared.get(inf_key)
+        if r_inf is None:
+            r = shared.get(res_key)
+            if r is None:
+                r = shared[res_key] = residual(a, b, x)
+            r_inf = shared[inf_key] = _abs_max(r)
+        return r_inf
+
+    return read
+
+
+def inner_grad_norm_reader(grad_g: Callable[[Vector], Vector]) -> Callable:
+    """``(x, shared) -> ||grad_g(x)||_2``, stored in ``shared`` and formed
+    from the ``grad_g(x)`` found there, where the composition objective's
+    ``evaluate`` left it.  So the grad-g-norm radius and both oracle calls
+    of a composition step take one norm, and ``grad_g`` is called once per
+    iterate.  ``grad_g`` must be a pure function of ``x``."""
+    grad_key = shared_key("grad-g", grad_g)
+    norm_key = shared_key("grad-g-norm", grad_g)
+
+    def read(x: Vector, shared: dict) -> float:
+        norm = shared.get(norm_key)
+        if norm is None:
+            grad = shared.get(grad_key)
+            if grad is None:
+                grad = shared[grad_key] = grad_g(np.asarray(x))
+            norm = shared[norm_key] = euclidean_norm(grad)
+        return norm
+
+    return read
+
+
 def residual_inf(a: np.ndarray, b: Vector, x: Vector) -> float:
-    """``||A x - b||_inf``, shared like :func:`residual`, so the
-    gradient-norm bound, the oracle and the radius policy of one iterate
-    scan the residual once."""
-    return _abs_max(residual(a, b, x))
+    """``||A x - b||_inf``, formed afresh by :func:`residual_inf_reader`."""
+    return residual_inf_reader(a, b)(x, {})
 
 
-@_per_iterate
 def inner_grad_norm(grad_g: Callable[[Vector], Vector], x: Vector) -> float:
-    """``||grad_g(x)||_2``, shared like :func:`residual`, so the grad-g-norm
-    radius policy and both oracle calls of a composition iteration form it
-    once.  ``grad_g`` must be a pure function of ``x``."""
-    return euclidean_norm(grad_g(np.asarray(x)))
+    """``||grad_g(x)||_2``, formed afresh by :func:`inner_grad_norm_reader`."""
+    return inner_grad_norm_reader(grad_g)(x, {})
 
 
 @dataclass(frozen=True)
@@ -170,9 +204,12 @@ class GradientOracle:
     """First-order access to an objective: values, gradients, and an
     optional computable upper bound on the gradient norm.
 
-    ``evaluate(x)``, when given, returns ``(eval(x), grad(x))`` bit for
-    bit from one call; the solvers call it once per iterate in place of
-    ``grad`` and ``eval``.
+    Two optional fast forms serve the solver, which hands each a ``shared``
+    dict, one per iterate, where readers of the same iterate leave values
+    for each other (see :func:`shared_key`).  ``evaluate(x, shared)``
+    returns ``(eval(x), grad(x))`` bit for bit from one call; the solvers
+    call it once per iterate in place of ``grad`` and ``eval``.
+    ``fast_bound(x, shared)`` returns ``grad_norm_bound(x)`` bit for bit.
 
     ``eval_rows(X)`` and ``grad_rows(X)``, when given, evaluate every row of
     a 2-D ``X`` at once: ``eval_rows(X)[i]`` and ``grad_rows(X)[i]`` must
@@ -186,7 +223,13 @@ class GradientOracle:
     grad_norm_bound: Optional[Callable[[Vector], float]] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    evaluate: Optional[Callable[[Vector], tuple]] = None
+    evaluate: Optional[Callable[[Vector, dict], tuple]] = None
+    fast_bound: Optional[Callable[[Vector, dict], float]] = None
+
+    def __post_init__(self) -> None:
+        if self.fast_bound is not None and self.grad_norm_bound is None:
+            raise ValueError("fast_bound stands in for grad_norm_bound, "
+                             "which this objective does not have")
 
 
 @dataclass(frozen=True)
@@ -194,9 +237,10 @@ class Lfso:
     """Local smoothness oracle: ``eval(x, R)`` bounds the Taylor remainder
     factor on ``B(x, R)`` and is non-decreasing in ``R``.
 
-    ``at(x)``, when given, returns the function ``R -> eval(x, R)``, bit
-    for bit, with the part that depends on ``x`` alone formed once; the
-    solver calls it once per step and evaluates it at R_k and R~_k.
+    ``at(x, shared)``, when given, returns the function ``R -> eval(x, R)``,
+    bit for bit, with the part that depends on ``x`` alone formed once; the
+    solver calls it once per step with the step's ``shared`` dict and
+    evaluates it at R_k and R~_k.
 
     ``eval_rows(X, R)``, when given, returns ``eval(X[i], R[i])`` for every
     row of a 2-D ``X`` and entry of a 1-D ``R``, bit for bit.
@@ -204,18 +248,21 @@ class Lfso:
 
     eval: Callable[[Vector, float], float]
     eval_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    at: Optional[Callable[[Vector], Callable[[float], float]]] = None
+    at: Optional[Callable[[Vector, dict], Callable[[float], float]]] = None
 
 
 @dataclass(frozen=True)
 class RPolicy:
     """Rule producing the trial radius ``R_k`` from the current iterate.
 
-    ``kind`` names the rule for readers of a policy; nothing in the package
-    branches on it."""
+    ``fast(x, shared)``, when given, returns ``float(fn(x))`` bit for bit
+    from the step's ``shared`` dict; the solver calls it in place of
+    ``fn``.  ``kind`` names the rule for readers of a policy; nothing in
+    the package branches on it."""
 
     kind: str
     fn: Callable[[Vector], float]
+    fast: Optional[Callable[[Vector, dict], float]] = None
 
     def __call__(self, x: Vector) -> float:
         return float(self.fn(x))
@@ -230,14 +277,15 @@ class RPolicy:
     @staticmethod
     def grad_g_norm(grad_g: Callable[[Vector], Vector]) -> "RPolicy":
         """R_k = ||grad g(x_k)||_2 for an inner function g."""
-        return RPolicy("grad-g-norm", functools.partial(inner_grad_norm, grad_g))
+        read = inner_grad_norm_reader(grad_g)
+        return RPolicy("grad-g-norm", lambda x: read(x, {}), read)
 
     @staticmethod
     def residual_inf_norm(a: np.ndarray, b: Vector) -> "RPolicy":
-        """R_k = ||A x_k - b||_inf, read from :func:`residual_inf`."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        return RPolicy("residual-inf", functools.partial(residual_inf, a, b))
+        """R_k = ||A x_k - b||_inf."""
+        read = residual_inf_reader(np.asarray(a, dtype=np.float64),
+                                   np.asarray(b, dtype=np.float64))
+        return RPolicy("residual-inf", lambda x: read(x, {}), read)
 
 
 def _whole_count(name: str, value) -> int:
@@ -354,27 +402,28 @@ def _checked(value: float, what: str) -> float:
     return value
 
 
-def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
+def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector, dict], float]],
                  config: SolverConfig) -> Callable:
     """Step rule of the oracle-driven solver: the radius policy gives R_k,
     which is inflated to R~_k so the step stays inside B(x_k, R~_k), and the
-    step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``.  ``bound``, when given,
-    stands in for ``||grad f(x_k)||`` in the inflation.  The oracle is
-    fixed at x_k once, through ``oracle.at`` when it has one.  The step's
-    largest entry is ``stepsize * g_max``, since rounding is monotone and
-    symmetric in sign, so its norm needs no scan of its own."""
+    step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``.  ``bound(x, shared)``,
+    when given, stands in for ``||grad f(x_k)||`` in the inflation.  The
+    policy is read through its fast form and the oracle is fixed at x_k
+    once through ``oracle.at``, where they have them, else through ``fn``
+    and ``oracle.eval``."""
     eta, r_policy = config.eta, config.r_policy
-    at = oracle.at or (lambda x: functools.partial(oracle.eval, x))
+    radius = r_policy.fast or (lambda x, shared: r_policy(x))
+    at = oracle.at or (lambda x, shared: functools.partial(oracle.eval, x))
 
-    def rule(x: Vector, g: Vector, grad_norm: float, g_max: float):
-        r_k = r_policy(x)
+    def rule(x: Vector, g: Vector, grad_norm: float, shared: dict):
+        r_k = radius(x, shared)
         big_g = grad_norm
         if bound is not None:
-            big_g = _checked(bound(x), "gradient-norm bound")
+            big_g = _checked(bound(x, shared), "gradient-norm bound")
         if not 0.0 < r_k < math.inf:
             _checked(r_k, "radius R_k")
             raise ValueError(f"r_k must be positive, got {r_k}")
-        oracle_at_x = at(x)
+        oracle_at_x = at(x, shared)
         l_at_r = _checked(oracle_at_x(r_k), "oracle value L(x, R_k)")
         if l_at_r < 0:
             raise ValueError(f"oracle value must be >= 0, got {l_at_r}")
@@ -394,8 +443,7 @@ def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector], float]],
             raise NonFiniteValueError(
                 "stepsize eta / L(x, R~_k) is not finite: inf")
         step = stepsize * g
-        step_norm = _checked(_norm_given_max(step, stepsize * g_max),
-                             "step norm")
+        step_norm = _checked(_loop_norm(step), "step norm")
         return step, (float(r_k), r_tilde, l_k, step_norm)
 
     return rule
@@ -406,7 +454,7 @@ def _fixed_step(eta: float) -> Callable:
     ``eta * grad f(x_k)``, recorded with the sentinel row."""
     l_k = 1.0 / eta
 
-    def rule(x: Vector, g: Vector, grad_norm: float, g_max: float):
+    def rule(x: Vector, g: Vector, grad_norm: float, shared: dict):
         return eta * g, (0.0, 0.0, l_k, eta * grad_norm)
 
     return rule
@@ -416,22 +464,20 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
              algorithm: str, max_iters: int, grad_tol: float,
              keep_iterates: bool) -> RunTrace:
     """The iteration both solvers share, and the one place that decides why
-    a run stops (see :class:`Termination`).  Each iterate is evaluated once,
-    by ``problem.evaluate`` when it has one, else by ``grad`` and then
-    ``eval``; an iterate where ``evaluate`` fails is evaluated the second
-    way, so the run ends with the error it gives.
-    ``rule(x, g, grad_norm, g_max)``, with ``g_max`` the largest
-    absolute entry of g, returns the step and the record's step fields
-    in :class:`IterationRecord` order, from ``r_k`` on.  Each step scopes
-    the values that :func:`residual` and its kin share to its iterate; the
-    caller's scope comes back when the run returns or raises.
-    The evaluation of the last iterate gives the final values.  Once
-    ``max_iters`` steps are taken the run stops on the budget, whatever the
-    gradient at the last iterate.  An iterate is compared with the one
-    before only when its gradient norm is the same, so an iterate whose
-    gradient norm changed costs no array comparison.  A non-finite value,
-    an ``OverflowError`` or a numpy overflow in any callback ends the run
-    in one :class:`NonFiniteValueError` naming ``algorithm`` and k."""
+    a run stops (see :class:`Termination`).  Each iterate gets one
+    ``shared`` dict, which the loop hands to every fast form that reads
+    the iterate.  Each iterate is evaluated once, by ``problem.evaluate``
+    when it has one, else by ``grad`` and then ``eval``; an iterate where
+    ``evaluate`` fails is evaluated the second way, so the run ends with
+    the error it gives.  ``rule(x, g, grad_norm, shared)`` returns the step
+    and the record's step fields in :class:`IterationRecord` order, from
+    ``r_k`` on.  The evaluation of the last iterate gives the final values.
+    Once ``max_iters`` steps are taken the run stops on the budget,
+    whatever the gradient at the last iterate.  An iterate is compared with
+    the one before only when its gradient norm is the same, so an iterate
+    whose gradient norm changed costs no array comparison.  A non-finite
+    value, an ``OverflowError`` or a numpy overflow in any callback ends
+    the run in one :class:`NonFiniteValueError` naming ``algorithm`` and k."""
     x = as_vector(x0).copy()
     if x.size != problem.dim:
         raise ShapeMismatchError(
@@ -441,15 +487,14 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
     termination = Termination.MAX_ITERATIONS
     last_x, last_grad_norm = None, math.nan
     evaluate = problem.evaluate
-    scope = _iterate.set((None, None))
     try:
         with np.errstate(over="raise"):
             for k in range(max_iters + 1):
-                _iterate.set((x, {}))
+                shared = {}
                 fast = evaluate is not None
                 if fast:
                     try:
-                        f_val, g = evaluate(x)
+                        f_val, g = evaluate(x, shared)
                     except (NonFiniteValueError, OverflowError,
                             FloatingPointError):
                         # grad, its norm check and eval, in that order,
@@ -457,9 +502,7 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
                         fast = False
                 if not fast:
                     g = problem.grad(x)
-                g_max = _abs_max(g)
-                grad_norm = _checked(_norm_given_max(g, g_max),
-                                     "gradient norm")
+                grad_norm = _checked(_loop_norm(g), "gradient norm")
                 if not fast:
                     f_val = problem.eval(x)
                 f_val = _checked(f_val, "objective value")
@@ -477,7 +520,7 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
                 if grad_norm == last_grad_norm and np.array_equal(x, last_x):
                     termination = Termination.STALLED
                     break
-                step, fields = rule(x, g, grad_norm, g_max)
+                step, fields = rule(x, g, grad_norm, shared)
                 records.append(IterationRecord(k, f_val, grad_norm, *fields))
                 last_x, last_grad_norm = x, grad_norm
                 # finite: x and the step are, and an overflow raises
@@ -488,8 +531,6 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
         why = f"overflow {exc}" if isinstance(exc, OverflowError) else exc
         raise NonFiniteValueError(f"{algorithm} iteration "
                                   f"diverged at k={k}: {why}") from exc
-    finally:
-        _iterate.reset(scope)
     return RunTrace(records=records, final_x=x, termination=termination,
                     final_f=f_val, final_grad_norm=grad_norm,
                     iterates=iterates, algorithm=algorithm)
@@ -511,10 +552,13 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
     or oracle gives a non-finite value or overflows (see :func:`_descend`).
     An exact stationary point ends the run with no policy or oracle call.
     """
-    bound = problem.grad_norm_bound if config.use_grad_bound else None
-    if config.use_grad_bound and bound is None:
-        raise ValueError("use_grad_bound needs an objective with a "
-                         "grad_norm_bound; this one has none")
+    bound = None
+    if config.use_grad_bound:
+        scalar_bound = problem.grad_norm_bound
+        if scalar_bound is None:
+            raise ValueError("use_grad_bound needs an objective with a "
+                             "grad_norm_bound; this one has none")
+        bound = problem.fast_bound or (lambda x, shared: scalar_bound(x))
     return _descend(problem, x0, _oracle_step(oracle, bound, config), "lfso",
                     config.max_iters, config.grad_tol, keep_iterates)
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .core import (Lfso, Vector, each_float, euclidean_norm_rows,
-                   inner_grad_norm, residual_inf)
+                   inner_grad_norm_reader, residual_inf_reader, shared_key)
 from .errors import NegativeCurvatureError
 
 if TYPE_CHECKING:
@@ -40,6 +40,24 @@ def ipow(base, exponent: int):
     for _ in range(exponent - 1):
         result = result * base
     return result
+
+
+def residual_pow_reader(a: np.ndarray, b: Vector, k: int) -> Callable:
+    """``(x, shared) -> (||A x - b||_inf, ipow(||A x - b||_inf, k))``,
+    stored in the step's ``shared`` dict, with the inf-norm read through
+    :func:`~lfso.core.residual_inf_reader`: the gradient-norm bound and the
+    oracle of a regression step form the power once."""
+    key = shared_key(f"residual-inf^{k}", a, b)
+    read_inf = residual_inf_reader(a, b)
+
+    def read(x: Vector, shared: dict) -> tuple:
+        pair = shared.get(key)
+        if pair is None:
+            res_inf = read_inf(x, shared)
+            pair = shared[key] = (res_inf, ipow(res_inf, k))
+        return pair
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -85,25 +103,27 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
         L(x, R) = h''(u) * w^2 + h'(u) * l_g.
 
     Monotone in R because h' and h'' are non-decreasing and h'' >= 0.
-    ``at(x)`` forms ||grad g(x)|| once, and ``eval(x, R)`` is ``at(x)(R)``.
+    ``at(x, shared)`` reads ||grad g(x)|| once through
+    :func:`~lfso.core.inner_grad_norm_reader`, and ``eval(x, R)`` is
+    ``at(x, {})(R)``.
 
     The oracle has a row form when the inner ``g`` has ``grad_rows``; it
     calls ``h'`` and ``h''`` on each entry, as the scalar form does.
     """
     g = problem.g
-    grad_g = g.grad
+    read_norm = inner_grad_norm_reader(g.grad)
     l_g = float(problem.l_g)
-    mu_g = float(problem.mu_g)
+    two_mu_g = 2.0 * float(problem.mu_g)
     h_prime = problem.h_prime
     h_double_prime = problem.h_double_prime
 
-    def at(x: Vector) -> Callable[[float], float]:
-        grad_norm = inner_grad_norm(grad_g, x)
+    def at(x: Vector, shared: dict) -> Callable[[float], float]:
+        grad_norm = read_norm(x, shared)
 
         def at_x(r: float) -> float:
             w = l_g * float(r) + grad_norm
             v = w * w
-            u = v / (2.0 * mu_g)
+            u = v / two_mu_g
             hpp = float(h_double_prime(u))
             if hpp < 0.0:
                 raise NegativeCurvatureError(
@@ -114,7 +134,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
         return at_x
 
     def evaluate(x: Vector, r: float) -> float:
-        return at(x)(r)
+        return at(x, {})(r)
 
     if g.grad_rows is None:
         return Lfso(eval=evaluate, at=at)
@@ -122,7 +142,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
     def evaluate_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
         w = l_g * radii + euclidean_norm_rows(g.grad_rows(xs))
         v = w * w
-        u = v / (2.0 * mu_g)
+        u = v / two_mu_g
         hpp = each_float(h_double_prime, u)
         negative = np.flatnonzero(hpp < 0.0)
         if negative.size:
@@ -142,20 +162,21 @@ def lp_regression_lfso(problem: "LpRegressionProblem") -> Lfso:
 
     with ``coef = 2p(2p-1) ||A||_2^2 2^{2p-3}`` and ``row_pow = max_i
     ||a_i||_2^{2p-2}`` read from the problem.  At p = 1 both powers are 1,
-    giving the constant 2 ||A||_2^2.  ``at(x)`` forms
-    ||Ax-b||_inf^{2p-2} once, and ``eval(x, R)`` is ``at(x)(R)``.
+    giving the constant 2 ||A||_2^2.  ``at(x, shared)`` reads
+    ||Ax-b||_inf^{2p-2} through :func:`residual_pow_reader`, as the
+    objective's ``fast_bound`` does, and ``eval(x, R)`` is ``at(x, {})(R)``.
     """
     a, b, k = problem.a, problem.b, 2 * int(problem.p) - 2
     coef, row_pow = problem.coef, problem.row_pow
+    read_pow = residual_pow_reader(a, b, k)
 
     def value(res_pow, r):
         return coef * (res_pow + row_pow * ipow(r, k))
 
-    def at(x: Vector) -> Callable[[float], float]:
-        res_pow = ipow(residual_inf(a, b, x), k)
+    def at(x: Vector, shared: dict) -> Callable[[float], float]:
+        res_pow = read_pow(x, shared)[1]
         return lambda r: value(res_pow, float(r))
 
-    return Lfso(eval=lambda x, r: at(x)(r), at=at,
+    return Lfso(eval=lambda x, r: at(x, {})(r), at=at,
                 eval_rows=lambda xs, radii: value(ipow(
                     np.abs(problem.residual_rows(xs)).max(axis=1), k), radii))
-

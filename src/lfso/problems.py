@@ -17,9 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .core import (GradientOracle, Lfso, Vector, as_vector, each_float,
-                   residual, residual_inf, row_dots)
+                   residual, row_dots, shared_key)
 from .errors import NonFiniteValueError, ShapeMismatchError
-from .oracles import composition_lfso, ipow, lp_regression_lfso
+from .oracles import (composition_lfso, ipow, lp_regression_lfso,
+                      residual_pow_reader)
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,26 @@ class CompositionProblem:
             raise ValueError(f"mu_g ({self.mu_g}) cannot exceed l_g ({self.l_g})")
 
     def objective(self) -> GradientOracle:
-        """The composed objective with grad f = h'(g(x)) grad g(x)."""
+        """The composed objective with grad f = h'(g(x)) grad g(x).  Its
+        ``evaluate`` leaves ``grad g(x)`` in the step's ``shared`` dict for
+        :func:`~lfso.core.inner_grad_norm_reader`."""
         g = self.g
         h = self.h
         h_prime = self.h_prime
+        grad_g = g.grad
+        grad_key = shared_key("grad-g", grad_g)
         rows = g.eval_rows is not None and g.grad_rows is not None
 
-        def evaluate(x: Vector):
+        def evaluate(x: Vector, shared: dict):
             t = float(g.eval(x))
-            grad = float(h_prime(t)) * g.grad(x)
-            return float(h(t)), grad
+            factor = float(h_prime(t))
+            inner = shared[grad_key] = grad_g(x)
+            return float(h(t)), factor * inner
 
         return GradientOracle(
             dim=g.dim,
             eval=lambda x: float(h(float(g.eval(x)))),
-            grad=lambda x: float(h_prime(float(g.eval(x)))) * g.grad(x),
+            grad=lambda x: float(h_prime(float(g.eval(x)))) * grad_g(x),
             evaluate=evaluate,
             eval_rows=(lambda xs: each_float(h, g.eval_rows(xs)))
             if rows else None,
@@ -120,15 +126,26 @@ class LpRegressionProblem:
 
     def residual_rows(self, xs: np.ndarray) -> np.ndarray:
         """``A x - b`` for every row x of ``xs``.  Each product is the gemv
-        of a single ``A @ x``, so every row equals
+        of a single ``A.dot(x)``, so every row equals
         :func:`lfso.core.residual` bit for bit."""
         return np.matmul(self.a, xs[:, :, None])[:, :, 0] - self.b
 
     def objective(self) -> GradientOracle:
         """f(x) = sum(q * r) and grad f(x) = 2p A^T q, from one residual
         r = A x - b and one power q = r^(2p-1): ``ipow`` multiplies left to
-        right, so q * r equals r^(2p) bit for bit."""
+        right, so q * r equals r^(2p) bit for bit.
+
+        ``evaluate`` leaves r, read-only, in the step's ``shared`` dict,
+        where :func:`~lfso.core.residual_inf_reader` finds it.
+        ``fast_bound`` reads ``||r||_inf^(2p-2)`` through
+        :func:`~lfso.oracles.residual_pow_reader`, as the oracle's ``at``
+        does, and returns ``bound_coef * (||r||_inf^(2p-2) * ||r||_inf)``,
+        ``bound_coef * ||r||_inf^(2p-1)`` for the same reason;
+        ``grad_norm_bound(x)`` is ``fast_bound`` on a dict of its own."""
         a, b, two_p, bound_coef = self.a, self.b, 2 * int(self.p), self.bound_coef
+        a_t = a.T
+        res_key = shared_key("residual", a, b)
+        read_pow = residual_pow_reader(a, b, two_p - 2)
 
         def power(x: Vector):
             r = residual(a, b, x)
@@ -139,28 +156,28 @@ class LpRegressionProblem:
             return float(np.add.reduce(q * r))
 
         def gradient(x: Vector) -> Vector:
-            return two_p * (a.T @ power(x)[0])
+            return two_p * a_t.dot(power(x)[0])
 
-        def evaluate(x: Vector):
+        def evaluate(x: Vector, shared: dict):
             q, r = power(x)
-            grad = two_p * (a.T @ q)
-            return float(np.add.reduce(q * r)), grad
+            shared[res_key] = r
+            return float(np.add.reduce(q * r)), two_p * a_t.dot(q)
 
-        def grad_norm_bound(x: Vector) -> float:
-            res_inf = residual_inf(a, b, x)
-            return bound_coef * ipow(res_inf, two_p - 1)
+        def fast_bound(x: Vector, shared: dict) -> float:
+            res_inf, res_pow = read_pow(x, shared)
+            return bound_coef * (res_pow * res_inf)
 
         def value_rows(xs: np.ndarray) -> np.ndarray:
             return ipow(self.residual_rows(xs), two_p).sum(axis=1)
 
         def gradient_rows(xs: np.ndarray) -> np.ndarray:
             powers = ipow(self.residual_rows(xs), two_p - 1)
-            return two_p * np.matmul(a.T, powers[:, :, None])[:, :, 0]
+            return two_p * np.matmul(a_t, powers[:, :, None])[:, :, 0]
 
         return GradientOracle(dim=self.d, eval=value, grad=gradient,
-                              grad_norm_bound=grad_norm_bound,
+                              grad_norm_bound=lambda x: fast_bound(x, {}),
                               eval_rows=value_rows, grad_rows=gradient_rows,
-                              evaluate=evaluate)
+                              evaluate=evaluate, fast_bound=fast_bound)
 
 
 class QuarticProblem:
@@ -196,19 +213,30 @@ def make_norm_power(d: int, p: int):
     if not (_whole("d", d) and _whole("p", p)):
         raise ValueError(f"need integers d >= 1 and p >= 1, got d={d}, p={p}")
     p = int(p)
-    k = max(p - 2, 0)
     g = GradientOracle(dim=int(d),
                        eval=lambda x: float(x.dot(x)),
                        grad=lambda x: 2.0 * x,
                        eval_rows=lambda xs: row_dots(xs, xs),
                        grad_rows=lambda xs: 2.0 * xs)
     problem = CompositionProblem(
-        g=g, l_g=2.0, mu_g=2.0,
-        h=lambda t: ipow(float(t), p),
-        h_prime=lambda t: p * ipow(float(t), p - 1),
-        h_double_prime=lambda t: p * (p - 1) * ipow(float(t), k),
-    )
+        g=g, l_g=2.0, mu_g=2.0, h=_scaled_power(1, p),
+        h_prime=_scaled_power(p, p - 1),
+        h_double_prime=_scaled_power(p * (p - 1), max(p - 2, 0)))
     return problem, composition_lfso(problem)
+
+
+def _scaled_power(c: int, k: int) -> Callable[[float], float]:
+    """``t -> c * ipow(float(t), k)``, bit for bit, in one call: h, h' and
+    h'' of :func:`make_norm_power`, which a solver step calls up to six
+    times.  The powers multiply left to right, as ``ipow`` does."""
+    def power(t) -> float:
+        t = float(t)
+        result = t if k else 1.0
+        for _ in range(k - 1):
+            result = result * t
+        return c * result
+
+    return power
 
 
 def make_lp_regression(a: np.ndarray, b, p: int):
@@ -218,12 +246,13 @@ def make_lp_regression(a: np.ndarray, b, p: int):
     computed once here and cached on the problem, whose ``bound_coef``,
     ``coef`` and ``row_pow`` every reader takes; a max row norm, Gram
     matrix or ``coef`` that is not finite raises
-    :class:`NonFiniteValueError`.  The objective, gradient, gradient-norm
-    bound, oracle and ``RPolicy.residual_inf_norm`` read the residual
-    ``Ax - b`` through :func:`lfso.core.residual`, which the solver shares
-    across one step, so one iterate costs one product with A and one with
-    A^T.  Both the cached constants and the shared residual assume that A
-    and b do not change in place while the problem is in use.
+    :class:`NonFiniteValueError`.  The objective's ``evaluate`` leaves the
+    residual ``Ax - b`` in the step's ``shared`` dict, and the fast forms of
+    the gradient-norm bound, the oracle and
+    ``RPolicy.residual_inf_norm`` read its inf-norm from there, so one
+    solver iterate costs one product with A and one with A^T.  Both the
+    cached constants and the shared residual assume that A and b do not
+    change in place while the problem is in use.
     ``theory_ok`` on the problem says whether the conditioning requirement
     for the Q-linear guarantee holds; the solver runs either way.
     """

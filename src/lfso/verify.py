@@ -34,8 +34,8 @@ _QLINEAR_BLOCK_BYTES = 1 << 20
 # then also send every 17th sample, the first included, through the scalar
 # callables (59 of 1000 validity samples, 2 of 32 monotone samples); the
 # validity check sends the same samples through the solver's fast forms,
-# ``evaluate`` and ``at``, where the pair has them.  Any bit difference is
-# a violation.
+# ``evaluate``, ``fast_bound`` and ``at``, where the pair has them.  Any
+# bit difference is a violation.
 _CROSS_CHECK_STRIDE = 17
 
 
@@ -121,25 +121,37 @@ def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
     return values
 
 
-def _fast_values(problem: GradientOracle, oracle: Lfso, xs, radii,
-                 picks: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-    """``scalar[:, :-1]``, the grad f(x), f(x) and L(x, R) of the samples
-    ``picks``, with each value the solver takes from a fast form instead:
-    grad f(x) and f(x) from ``problem.evaluate``, L(x, R) from
-    ``oracle.at``; a call that overflows gives inf."""
-    fast = scalar[:, :-1].copy()
-    for row, i in zip(fast, picks.tolist()):
-        x, r = xs[i], radii[i]
+def _fast_differing(problem: GradientOracle, oracle: Lfso, xs, radii,
+                    picks: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    """Whether a value the solver takes from a fast form differs in any bit
+    from its scalar callable's, for each sample of ``picks``.  The fast
+    forms get one ``shared`` dict per sample and are called in the solver
+    loop's order: ``problem.evaluate`` for grad f(x) and f(x), then
+    ``problem.fast_bound`` for the gradient-norm bound, then ``oracle.at``
+    for L(x, R).  ``scalar`` holds the scalar grad f(x), f(x) and L(x, R)
+    of each sample in its leading columns; the scalar bound is formed
+    here.  A call that overflows gives inf."""
+    picks = picks.tolist()
+    bound = problem.fast_bound
+    want = scalar[:, :problem.dim + 2]
+    if bound is not None:
+        want = np.column_stack((want, [_or_inf(problem.grad_norm_bound, xs[i])
+                                       for i in picks]))
+    got = want.copy()
+    for row, i in zip(got, picks):
+        x, r, shared = xs[i], radii[i], {}
         if problem.evaluate is not None:
             try:
-                f, g = problem.evaluate(x)
+                f, g = problem.evaluate(x, shared)
             except OverflowError:
                 f = g = math.inf
-            row[:-2] = g
-            row[-2] = f
+            row[:problem.dim] = g
+            row[problem.dim] = f
+        if bound is not None:
+            row[-1] = _or_inf(bound, x, shared)
         if oracle.at is not None:
-            row[-1] = _or_inf(lambda: oracle.at(x)(r))
-    return fast
+            row[problem.dim + 1] = _or_inf(lambda: oracle.at(x, shared)(r))
+    return _rows_differing(want, got)
 
 
 def _validity_samples(spec: SampleSpec, d: int):
@@ -185,9 +197,10 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     has ``eval_rows``, the samples are evaluated as rows instead, and a
     stride of them also through the scalar callables: a sample whose
     values differ in any bit is a violation.  The same stride of samples
-    goes through ``problem.evaluate`` and ``oracle.at``, where the pair has
-    them, and a value that differs in any bit from its scalar callable's is
-    a violation too.  So is a sample any of whose
+    goes through the solver's fast forms, ``problem.evaluate``,
+    ``problem.fast_bound`` and ``oracle.at``, where the pair has them, with
+    one ``shared`` dict per sample, and a value that differs in any bit
+    from its scalar callable's is a violation too.  So is a sample any of whose
     values is NaN or infinite, from a call that raised
     ``OverflowError`` or from overflow (huge radii).  ``violations`` counts
     each failing sample once, so it never exceeds ``spec.num_points``.
@@ -209,9 +222,10 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
                 problem.eval_rows(ys))).astype(np.float64, copy=False)
             scalar = _scalar_values(problem, oracle, xs, radii, ys, picks)
             failed[picks] = _rows_differing(scalar, values[picks])
-        if problem.evaluate is not None or oracle.at is not None:
-            failed[picks] |= _rows_differing(scalar[:, :-1], _fast_values(
-                problem, oracle, xs, radii, picks, scalar))
+        if (problem.evaluate is not None or problem.fast_bound is not None
+                or oracle.at is not None):
+            failed[picks] |= _fast_differing(problem, oracle, xs, radii,
+                                             picks, scalar)
         lin = row_dots(values[:, :-3], diffs)
         fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
         rhs = 0.5 * lvals * row_dots(diffs, diffs)
@@ -511,7 +525,7 @@ def _residual_norms(a: np.ndarray, b: np.ndarray, iterates: Sequence) -> list:
     ``_QLINEAR_BLOCK_BYTES``, and one matrix product adds its share to all
     K residuals at once.  This reads A once where K matrix-vector products
     would read it K times.  On A = I with d columns in one block the sums
-    are exact, so the norms equal those of ``A @ x_k - b`` bit for bit.
+    are exact, so the norms equal those of ``A.dot(x_k) - b`` bit for bit.
     """
     count = len(iterates)
     d = a.shape[1]
@@ -533,8 +547,9 @@ def check_regression_qlinear(problem: LpRegressionProblem, trace: RunTrace,
     """Measure the worst per-step residual contraction ratio
     rho = max_k ||r_{k+1}||_2 / ||r_k||_2 over a regression trace and
     require rho < 1.  Needs the stored iterates; their residuals come from
-    one pass over A in column blocks (:func:`_residual_norms`), not from one
-    :func:`lfso.core.residual` per iterate.
+    one pass over A in column blocks (:func:`_residual_norms`), not from
+    the solver's one product ``A.dot(x_k)`` per iterate, which reads A
+    once per iterate.
 
     Raises :class:`AssumptionUnmetError` when the conditioning requirement
     cond(A)^4 < n/(n-1) fails, since the guarantee does not apply.

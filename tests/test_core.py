@@ -184,7 +184,7 @@ def test_evaluate_replaces_eval_and_grad(solver):
     problem, oracle = quadratic(3)
     calls = {"eval": 0, "grad": 0, "evaluate": 0}
 
-    def evaluate(x):
+    def evaluate(x, shared):
         calls["evaluate"] += 1
         return problem.eval(x), problem.grad(x)
 
@@ -222,21 +222,44 @@ def shipped_runs():
 SHIPPED_RUNS = shipped_runs()
 
 
+def scalar_only(bundle):
+    """``bundle`` without any fast form: the pair and policy a tracer that
+    rebuilds them runs."""
+    return replace(bundle,
+                   objective=replace(bundle.objective, evaluate=None,
+                                     fast_bound=None),
+                   lfso=replace(bundle.lfso, at=None),
+                   r_policy=replace(bundle.r_policy, fast=None))
+
+
+def test_fast_bound_needs_the_bound_it_stands_in_for():
+    problem, _ = make_lp_regression(np.eye(3), np.zeros(3), 2)
+    objective = problem.objective()
+    with pytest.raises(ValueError, match="fast_bound stands in for "
+                       "grad_norm_bound, which this objective does not have"):
+        replace(objective, grad_norm_bound=None)
+    assert replace(objective, fast_bound=None).grad_norm_bound is not None
+
+
 @pytest.mark.parametrize("label", sorted(SHIPPED_RUNS))
 def test_fast_forms_leave_every_trace_unchanged(label):
-    # the solvers give the same bits with evaluate and at as with the
-    # scalar callables alone, as a tracer that rebuilds the pair runs them
+    # the solvers give the same bits with evaluate, fast_bound, at and the
+    # policy's fast form as with the scalar callables alone, and with any
+    # one of them taken away, so the readers that remain compute the
+    # shared values the missing one left
     cfg, bundle = SHIPPED_RUNS[label]
-    objective, oracle = bundle.objective, bundle.lfso
+    objective, oracle, policy = bundle.objective, bundle.lfso, bundle.r_policy
     structured = cfg.problem != "quartic"
     assert (objective.evaluate is not None) == structured
     assert (oracle.at is not None) == structured
+    assert (objective.fast_bound is not None) == (bundle.regression is not None)
     fingerprint = TestConcurrentRuns.fingerprint
     fast = fingerprint(cli.execute(cfg, bundle))
     for without in (replace(bundle, objective=replace(objective, evaluate=None)),
+                    replace(bundle, objective=replace(objective, fast_bound=None)),
                     replace(bundle, lfso=replace(oracle, at=None)),
-                    replace(bundle, objective=replace(objective, evaluate=None),
-                            lfso=replace(oracle, at=None))):
+                    replace(bundle, r_policy=replace(policy, fast=None)),
+                    scalar_only(bundle)):
         assert fingerprint(cli.execute(cfg, without)) == fast
 
 
@@ -259,9 +282,7 @@ def test_fast_forms_end_diverging_runs_with_the_same_error(problem, solver):
         cfg = cli.ExperimentConfig(problem=problem, p=p, solver=solver,
                                    max_iters=3)
         bundle = cli.build_experiment(cfg)
-        scalar = replace(bundle,
-                         objective=replace(bundle.objective, evaluate=None),
-                         lfso=replace(bundle.lfso, at=None))
+        scalar = scalar_only(bundle)
         for scale in np.geomspace(1e20, 1e160, 57):
             x0 = np.full(10, scale)
             assert (outcome(cfg, replace(bundle, x0=x0))
@@ -811,16 +832,16 @@ class TestEuclideanNormFastPath:
 
     @pytest.mark.parametrize("d", [1, 10, 1000])
     def test_step_norm_from_the_gradient_scan(self, d):
-        # the solver's step c * g has largest entry c * max|g_i| (rounding
-        # is monotone and symmetric in sign), so its norm takes that m:
-        # stepsizes that carry m across 1e-140 and 1e140, to subnormal
-        # steps and to 0
+        # the solver's step c * g, with stepsizes c that carry the step's
+        # largest entry c * max|g_i| across 1e-140 and 1e140, to subnormal
+        # steps and to 0: the loop's dot-first norm of the step equals
+        # euclidean_norm
         rng = np.random.default_rng(d + 3)
         tiny = np.finfo(np.float64).smallest_subnormal
         for g_scale in (1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e300):
             u = rng.normal(size=d)
             g = u / np.abs(u).max() * g_scale
-            g_max = core._abs_max(g)
+            g_max = float(np.abs(g).max())
             stepsizes = [0.0, tiny, 1e-320, 1e-310]
             for edge in (self.EDGE, 1e140):
                 m = edge / g_max
@@ -830,9 +851,43 @@ class TestEuclideanNormFastPath:
                 if not 0.0 <= c * g_max < np.inf:
                     continue
                 step = c * g
-                assert core._abs_max(step) == c * g_max, (g_scale, c)
-                assert same_bits(core._norm_given_max(step, c * g_max),
-                                 euclidean_norm(step)), (g_scale, c)
+                with np.errstate(over="raise"):
+                    norm = core._loop_norm(step)
+                assert same_bits(norm, euclidean_norm(step)), (g_scale, c)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 1000, 80000])
+    def test_dot_first_bounds_keep_the_scan_s_choice(self, d):
+        # the largest v . v of a vector with every entry at most 1e-140 in
+        # size lies at or below the low bound, and the smallest v . v of one
+        # with an entry of 1e140 at or above the high bound, so a v . v
+        # between them is one the scan would take sqrt of
+        for edge in (self.EDGE, np.nextafter(self.EDGE, 0.0)):
+            v = np.full(d, edge)
+            assert v.dot(v) <= d * core._DOT_LOW
+        for edge in (1e140, np.nextafter(1e140, np.inf)):
+            v = np.zeros(d)
+            v[0] = edge
+            assert v.dot(v) >= core._DOT_HIGH
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(min_value=1e-160, max_value=1e-120),
+        st.floats(min_value=1e120, max_value=1e160),
+        st.sampled_from([0.0, -0.0, 5e-324, -3e-320, 2.2e-308, 1e-140,
+                         float(np.nextafter(1e-140, 0.0)),
+                         float(np.nextafter(1e-140, 1.0)), 1e140,
+                         float(np.nextafter(1e140, 0.0)),
+                         float(np.nextafter(1e140, np.inf)), 1.3e154,
+                         -math.inf, math.inf, math.nan])),
+        min_size=1, max_size=12))
+    def test_dot_first_norm_equals_euclidean_norm(self, entries):
+        # subnormal entries, entries at 1e+-140, 0, inf and NaN, under the
+        # solver loop's errstate, where an overflowing v . v raises
+        v = np.array(entries, dtype=np.float64)
+        with np.errstate(over="raise"):
+            norm = core._loop_norm(v)
+        assert same_bits(norm, euclidean_norm(v))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),

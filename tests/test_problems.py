@@ -1,4 +1,6 @@
+import contextlib
 import dis
+import functools
 import gc
 import linecache
 import math
@@ -17,8 +19,9 @@ import pytest
 import lfso
 import lfso.problems as problems_module
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
-                       euclidean_norm, inner_grad_norm, residual, residual_inf,
-                       row_dots, run_lfso_gd)
+                       euclidean_norm, inner_grad_norm, inner_grad_norm_reader,
+                       residual, residual_inf, residual_inf_reader, row_dots,
+                       run_lfso_gd)
 from lfso.errors import (NegativeCurvatureError, NonFiniteValueError,
                          ShapeMismatchError, ZeroOracleError)
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
@@ -493,32 +496,47 @@ def squared_norm(d, rows=True):
         grad_rows=(lambda xs: 2.0 * xs) if rows else None)
 
 
+def regression_operands():
+    """{label: (A, b)} of the regression row-form families: I, and a
+    general A with more rows than the 128-entry block of numpy's pairwise
+    sum."""
+    rng = np.random.default_rng(2311)
+    return {"lp-norm": (np.eye(10), np.zeros(10)),
+            "lp-regression 150x10": (rng.standard_normal((150, 10)),
+                                     rng.standard_normal(150))}
+
+
+REGRESSION_OPERANDS = regression_operands()
+
+
 def row_form_families():
-    """{label: (objective, oracle, scale)} for every family that supplies
-    row forms.  ``scale`` is the largest factor by which the sampled rows
-    can be blown up before a value overflows."""
+    """{label: (objective, oracle, scale, policy)} for every family that
+    supplies row forms.  ``scale`` is the largest factor by which the
+    sampled rows can be blown up before a value overflows; ``policy`` is
+    the family's own radius policy, built on the same operands."""
     quadratic, _ = make_norm_power(10, 1)
     families = {
         "quadratic+constant": (quadratic.objective(),
-                               constant_lfso(ConstantLfsoParams(2.0)), 1e141),
+                               constant_lfso(ConstantLfsoParams(2.0)), 1e141,
+                               RPolicy.grad_g_norm(quadratic.g.grad)),
     }
     # a user's scalar h, called on each entry by the row forms
     exp_problem = CompositionProblem(g=squared_norm(3), l_g=2.0, mu_g=2.0,
                                      h=math.exp, h_prime=math.exp,
                                      h_double_prime=math.exp)
-    families["user exp composition"] = (exp_problem.objective(),
-                                        composition_lfso(exp_problem), 1.0)
-    # more rows than the 128-entry block of numpy's pairwise sum, and not I
-    rng = np.random.default_rng(2311)
-    a_general, b_general = rng.standard_normal((150, 10)), rng.standard_normal(150)
+    families["user exp composition"] = (
+        exp_problem.objective(), composition_lfso(exp_problem), 1.0,
+        RPolicy.grad_g_norm(exp_problem.g.grad))
     for p in range(1, 6):
         scale = 1e141 if p == 1 else 1.0
         problem, oracle = make_norm_power(10, p)
-        families[f"norm2-pow p={p}"] = (problem.objective(), oracle, scale)
-        for label, a, b in (("lp-norm", np.eye(10), np.zeros(10)),
-                            ("lp-regression 150x10", a_general, b_general)):
+        families[f"norm2-pow p={p}"] = (problem.objective(), oracle, scale,
+                                        RPolicy.grad_g_norm(problem.g.grad))
+        for label, (a, b) in REGRESSION_OPERANDS.items():
             problem, oracle = make_lp_regression(a, b, p)
-            families[f"{label} p={p}"] = (problem.objective(), oracle, scale)
+            families[f"{label} p={p}"] = (
+                problem.objective(), oracle, scale,
+                RPolicy.residual_inf_norm(problem.a, problem.b))
     return families
 
 
@@ -550,7 +568,7 @@ class TestRowForms:
 
     @pytest.mark.parametrize("label", sorted(ROW_FORM_FAMILIES))
     def test_rows_equal_scalar_calls(self, label):
-        objective, oracle, scale = ROW_FORM_FAMILIES[label]
+        objective, oracle, scale, _ = ROW_FORM_FAMILIES[label]
         for seed, xs, radii, ys in self.samples(objective.dim, scale):
             grads = objective.grad_rows(xs)
             fx = objective.eval_rows(xs)
@@ -564,18 +582,53 @@ class TestRowForms:
 
     @pytest.mark.parametrize("label", sorted(ROW_FORM_FAMILIES))
     def test_fast_forms_equal_scalar_calls(self, label):
-        # evaluate(x) is (f(x), grad f(x)) and at(x)(R) is L(x, R), bit for
-        # bit, where the pair has them
-        objective, oracle, scale = ROW_FORM_FAMILIES[label]
+        # evaluate(x, shared) is (f(x), grad f(x)), the policy's fast(x,
+        # shared) is its fn(x), fast_bound(x, shared) is grad_norm_bound(x)
+        # and at(x, shared)(R) is L(x, R), bit for bit, where the pair has
+        # them: called in the solver loop's order on one dict, and each on
+        # a dict of its own
+        objective, oracle, scale, policy = ROW_FORM_FAMILIES[label]
         assert objective.evaluate is not None or label == "quadratic+constant"
+        assert policy.fast is not None
+        regression = label.startswith("lp-")
+        assert (objective.fast_bound is not None) == regression
         for seed, xs, radii, _ in self.samples(objective.dim, scale):
             for i, (x, r) in enumerate(zip(xs, radii.tolist())):
-                f, g = objective.evaluate(x)
-                assert bits(f) == bits(objective.eval(x)), (seed, i)
-                assert bits(g) == bits(objective.grad(x)), (seed, i)
-                if oracle.at is not None:
-                    assert (bits(oracle.at(x)(r))
-                            == bits(oracle.eval(x, r))), (seed, i)
+                f, g = objective.eval(x), objective.grad(x)
+                radius = policy(x)
+                bound = objective.grad_norm_bound(x) if regression else None
+                value = oracle.eval(x, r)
+                shared = {}
+                # one dict for all readers, then a new dict for each
+                for dict_for in (lambda: shared, dict):
+                    if objective.evaluate is not None:
+                        got_f, got_g = objective.evaluate(x, dict_for())
+                        assert bits(got_f) == bits(f), (seed, i)
+                        assert bits(got_g) == bits(g), (seed, i)
+                    assert (bits(policy.fast(x, dict_for()))
+                            == bits(radius)), (seed, i)
+                    if regression:
+                        assert (bits(objective.fast_bound(x, dict_for()))
+                                == bits(bound)), (seed, i)
+                    if oracle.at is not None:
+                        assert (bits(oracle.at(x, dict_for())(r))
+                                == bits(value)), (seed, i)
+
+    @pytest.mark.parametrize("label", sorted(REGRESSION_OPERANDS))
+    def test_dot_products_equal_matmul_and_rows(self, label):
+        # the solver's a.dot(x) and a.T.dot(q) give the bits of a @ x and
+        # a.T @ q, and the row forms' stacked products give the bits of
+        # .dot, row by row, on the validity draws and their scaled rows
+        a, b = REGRESSION_OPERANDS[label]
+        for seed, xs, _, _ in self.samples(a.shape[1], 1e141):
+            qs = np.vstack([a.dot(x) - b for x in xs])
+            forward = np.matmul(a, xs[:, :, None])[:, :, 0]
+            transpose = np.matmul(a.T, qs[:, :, None])[:, :, 0]
+            for i, (x, q) in enumerate(zip(xs, qs)):
+                assert bits(a.dot(x)) == bits(a @ x), (seed, i)
+                assert bits(a.T.dot(q)) == bits(a.T @ q), (seed, i)
+                assert bits(forward[i]) == bits(a.dot(x)), (seed, i)
+                assert bits(transpose[i]) == bits(a.T.dot(q)), (seed, i)
 
     def test_composition_without_inner_rows_keeps_scalar_path(self):
         problem = CompositionProblem(g=squared_norm(3, rows=False), l_g=2.0,
@@ -628,10 +681,14 @@ class TestRegressionDataFile:
 
 
 def count_products(run):
-    """Run ``run()`` and count the matrix products (``@``) that lfso's own
-    source executes, as ``transpose`` (left operand ``<name>.T``) or
-    ``forward``.  The opcodes are traced, so every product is seen whatever
-    object it is made on and whichever function makes it."""
+    """Run ``run()`` and count the matrix products that lfso's own source
+    makes, as ``transpose`` or ``forward``: each ``@`` whose left operand
+    is written ``<name>.T`` is a transpose product and any other ``@`` a
+    forward one, and each ``ndarray.dot`` call on a 2-D array is a product
+    too, a transpose one when that array is F- but not C-ordered, as the
+    ``A.T`` of a C-ordered A is.  The opcodes and C calls are traced, so
+    every product is seen whatever object it is made on and whichever
+    function makes it."""
     package = os.path.dirname(lfso.__file__) + os.sep
     kinds = {}
     counts = Counter()
@@ -660,12 +717,24 @@ def count_products(run):
         frame.f_trace_opcodes = True
         return opcode
 
-    previous = sys.gettrace()
+    def c_call(frame, event, arg):
+        if (event != "c_call" or getattr(arg, "__name__", None) != "dot"
+                or not frame.f_code.co_filename.startswith(package)):
+            return
+        matrix = getattr(arg, "__self__", None)
+        if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
+            flags = matrix.flags
+            counts["transpose" if flags.f_contiguous and not flags.c_contiguous
+                   else "forward"] += 1
+
+    previous, previous_profile = sys.gettrace(), sys.getprofile()
     sys.settrace(call)
+    sys.setprofile(c_call)
     try:
         result = run()
     finally:
         sys.settrace(previous)
+        sys.setprofile(previous_profile)
     return result, counts
 
 
@@ -681,27 +750,44 @@ class TestSharedResidual:
         return problem, oracle, rng
 
     def test_other_b_at_same_x_gets_its_own_residual(self):
+        # the objective leaves A x - b in the step's dict; a reader on
+        # another b, even one equal to b, reads its own residual
         problem, _, rng = self.build()
         a, b = problem.a, problem.b
-        other_b = b + 1.0
         x = rng.normal(size=a.shape[1])
-        assert np.array_equal(residual(a, b, x), a @ x - b)
-        assert np.array_equal(residual(a, other_b, x), a @ x - other_b)
+        for other_b in (b + 1.0, b.copy()):
+            shared = {}
+            problem.objective().evaluate(x, shared)
+            assert (residual_inf_reader(a, other_b)(x, shared)
+                    == float(np.max(np.abs(a @ x - other_b))))
+            assert residual_inf_reader(a, b)(x, shared) == residual_inf(a, b, x)
+            assert len(shared) == 4  # two residuals, two inf-norms
 
     def test_inf_norm_is_not_shared_across_a_or_b(self):
+        # readers on other operands, in turn on one dict, never read a
+        # value stored by a reader on different ones
         problem, _, rng = self.build()
         a, b = problem.a, problem.b
         other_a, other_b = a * 2.0, b + 10.0
         x = rng.normal(size=a.shape[1])
+        shared = {}
         for m, v in [(a, b), (other_a, b), (a, other_b), (a, b)]:
+            assert (residual_inf_reader(m, v)(x, shared)
+                    == float(np.max(np.abs(m @ x - v))))
             assert residual_inf(m, v, x) == float(np.max(np.abs(m @ x - v)))
 
     def test_returned_array_is_read_only(self):
+        # residual's array, and the one the objective's evaluate leaves in
+        # the step's dict for the other readers
         problem, _, rng = self.build()
-        r = residual(problem.a, problem.b, rng.normal(size=problem.d))
-        assert not r.flags.writeable
-        with pytest.raises(ValueError):
-            r[0] = 0.0
+        x = rng.normal(size=problem.d)
+        shared = {}
+        problem.objective().evaluate(x, shared)
+        (left,) = shared.values()
+        for r in (residual(problem.a, problem.b, x), left):
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[0] = 0.0
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_every_reader_matches_the_direct_formula(self, p):
@@ -754,7 +840,9 @@ class TestSharedResidual:
             assert residual_inf(a, b, x) == direct
             assert residual_inf(a, b, x.copy()) == direct
 
-    def test_step_scope_keeps_no_matrix_alive(self):
+    def test_run_keeps_no_matrix_alive(self):
+        # the shared values live in one dict per iterate, which the run
+        # drops; nothing outside the run's objects refers to A afterwards
         problem, oracle, rng = self.build()
         a_ref = weakref.ref(problem.a)
         policy = RPolicy.residual_inf_norm(problem.a, problem.b)
@@ -779,18 +867,24 @@ class TestSharedResidual:
         evaluated = trace.num_steps + 1
         assert counts == {"forward": evaluated, "transpose": evaluated}
 
-    def test_raising_run_leaves_no_scope(self):
+    def test_raising_run_keeps_no_matrix_alive(self):
         # the radius policy reads the step's residual, then the zero oracle
-        # raises; afterwards the same x gets a residual of its own
+        # raises; once the error is dropped nothing refers to A, and the
+        # same x gets a residual of its own
         problem, _, _ = self.build()
+        a_ref = weakref.ref(problem.a)
         seen = []
 
-        def radius(x):
-            seen.append((x, residual(problem.a, problem.b, x)))
+        def radius(x, shared):
+            seen.append((x.copy(), shared_residual(shared)))
             return 1.0
 
-        config = SolverConfig(r_policy=RPolicy("callback", radius),
-                              max_iters=3)
+        def shared_residual(shared):
+            (r,) = [v for key, v in shared.items() if key[0] == "residual"]
+            return r
+
+        config = SolverConfig(r_policy=RPolicy("callback", lambda x: 1.0,
+                                               fast=radius), max_iters=3)
         with pytest.raises(ZeroOracleError):
             run_lfso_gd(Lfso(eval=lambda x, r: 0.0), problem.objective(),
                         np.zeros(problem.d), config)
@@ -798,12 +892,58 @@ class TestSharedResidual:
         again = residual(problem.a, problem.b, x)
         assert again is not r
         assert np.array_equal(again, r)
+        del problem, config
+        gc.collect()
+        assert a_ref() is None
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="needs BINARY_OP and instruction positions")
     def test_nested_run_in_policy_keeps_the_outer_scope(self):
         # a radius policy that runs a composition solve at every outer step
         # changes neither the outer trace nor its products per iterate
+        problem, oracle, _ = self.build(n=6, d=9)
+        a, b = problem.a, problem.b
+        inner, inner_oracle = TestSharedInnerGradNorm.build()
+        inner_config = SolverConfig(r_policy=RPolicy.grad_g_norm(inner.g.grad),
+                                    max_iters=2)
+        nested = []
+        read_inf = residual_inf_reader(a, b)
+
+        def radius(x, shared):
+            nested.append(run_lfso_gd(inner_oracle, inner.objective(),
+                                      np.ones(6), inner_config).num_steps)
+            return read_inf(x, shared)
+
+        def run(policy):
+            config = SolverConfig(r_policy=policy, max_iters=6,
+                                  use_grad_bound=True)
+            return run_lfso_gd(oracle, problem.objective(),
+                               np.zeros(problem.d), config)
+
+        plain = run(RPolicy.residual_inf_norm(a, b))
+        trace, counts = count_products(lambda: run(RPolicy(
+            "callback", functools.partial(residual_inf, a, b), fast=radius)))
+        assert nested == [2] * 6
+        assert (TestConcurrentRuns.fingerprint(trace)
+                == TestConcurrentRuns.fingerprint(plain))
+        evaluated = trace.num_steps + 1
+        assert counts == {"forward": evaluated, "transpose": evaluated}
+
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="needs BINARY_OP and instruction positions")
+    @pytest.mark.parametrize("extra_forward", [
+        1,
+        pytest.param(0, id="shares-the-residual", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="known loss: a one-argument policy gets no shared dict"))])
+    def test_nested_run_in_one_argument_policy_keeps_the_outer_trace(
+            self, extra_forward):
+        # the same policy as a one-argument callback, which gets no shared
+        # dict: the outer trace is unchanged, and the callback's
+        # residual_inf forms A x - b afresh, one more product with A per
+        # step than the fast form; the xfail case is the count when the
+        # step's A x - b was shared with one-argument readers too
         problem, oracle, _ = self.build(n=6, d=9)
         a, b = problem.a, problem.b
         inner, inner_oracle = TestSharedInnerGradNorm.build()
@@ -829,7 +969,9 @@ class TestSharedResidual:
         assert (TestConcurrentRuns.fingerprint(trace)
                 == TestConcurrentRuns.fingerprint(plain))
         evaluated = trace.num_steps + 1
-        assert counts == {"forward": evaluated, "transpose": evaluated}
+        assert counts == {
+            "forward": evaluated + extra_forward * trace.num_steps,
+            "transpose": evaluated}
 
 
 class TestSharedInnerGradNorm:
@@ -851,6 +993,8 @@ class TestSharedInnerGradNorm:
         return problem, lfso.composition_lfso(problem)
 
     def test_not_shared_across_inner_gradients(self):
+        # readers on other inner gradients, in turn on one dict that the
+        # objective's evaluate filled, never read each other's values
         problem, _ = self.build()
         grad_g = problem.g.grad
 
@@ -858,7 +1002,11 @@ class TestSharedInnerGradNorm:
             return 3.0 * x
 
         x = np.arange(1.0, 7.0)
+        shared = {}
+        problem.objective().evaluate(x, shared)
         for grad, factor in [(grad_g, 2.0), (other_grad, 3.0), (grad_g, 2.0)]:
+            assert (inner_grad_norm_reader(grad)(x, shared)
+                    == euclidean_norm(factor * x))
             assert inner_grad_norm(grad, x) == euclidean_norm(factor * x)
 
     def test_every_reader_matches_the_direct_formula(self):
@@ -893,15 +1041,16 @@ class TestSharedInnerGradNorm:
                 x[2] *= -40.0  # then the same x, changed in place
 
     def test_formed_once_per_iterate(self):
-        # the objective's gradient makes one call per iterate and the norm
-        # one more, however many readers there are
+        # the objective's evaluate makes the one call per iterate, and the
+        # norm that the radius and both oracle calls read takes its value,
+        # however many readers there are
         calls = []
         problem, oracle = self.build(calls=calls)
         config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
                               max_iters=5)
         trace = run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
         assert trace.num_steps == 5
-        assert len(calls) == 2 * trace.num_steps + 1
+        assert len(calls) == trace.num_steps + 1
 
     def test_inner_value_formed_once_per_iterate(self):
         # the objective's evaluate calls g once per iterate; its scalar
@@ -920,19 +1069,27 @@ class TestSharedInnerGradNorm:
         assert trace.num_steps == 5
         assert len(calls) == trace.num_steps + 1
 
-    def test_step_scope_keeps_no_gradient_alive(self):
-        problem, oracle = self.build()
-        grad_ref = weakref.ref(problem.g.grad)
-        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
-                              max_iters=3)
-        run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
-        del problem, oracle, config
-        gc.collect()
-        assert grad_ref() is None
+    def test_run_keeps_no_gradient_alive(self):
+        # the shared values live in one dict per iterate, which the run
+        # drops, so nothing outside the run's objects refers to grad_g,
+        # after a run that returns or one that raises
+        for raising in (False, True):
+            problem, oracle = self.build()
+            if raising:
+                oracle = Lfso(eval=lambda x, r: 0.0)
+            grad_ref = weakref.ref(problem.g.grad)
+            config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                                  max_iters=3)
+            with (pytest.raises(ZeroOracleError) if raising
+                  else contextlib.nullcontext()):
+                run_lfso_gd(oracle, problem.objective(), np.ones(6), config)
+            del problem, oracle, config
+            gc.collect()
+            assert grad_ref() is None
 
 
 class TestConcurrentRuns:
-    """Each run scopes its shared values to its own thread's context, so
+    """Each run keeps its shared values in its own per-iterate dicts, so
     runs in threads share none of them; their results must not change."""
 
     @staticmethod

@@ -320,14 +320,15 @@ class TestRowFormEquivalence:
 
 class TestFastFormCheck:
     """The validity check also compares the solver's fast forms,
-    ``evaluate`` and ``at``, with the scalar callables on its stride of
-    samples, on the row path and the scalar path."""
+    ``evaluate``, ``fast_bound`` and ``at``, with the scalar callables on
+    its stride of samples, on the row path and the scalar path, handing
+    them one ``shared`` dict per sample in the solver loop's order."""
 
     SPEC = SampleSpec(num_points=1000, seed=0)
 
     @staticmethod
-    def pair(with_rows):
-        objective, oracle = SUITE_PAIRS["norm2-pow p=3"]
+    def pair(with_rows, name="norm2-pow p=3"):
+        objective, oracle = SUITE_PAIRS[name]
         if not with_rows:
             objective = replace(objective, eval_rows=None, grad_rows=None)
         return objective, oracle
@@ -340,8 +341,8 @@ class TestFastFormCheck:
         objective, oracle = self.pair(with_rows)
         x0 = self.first_centre(objective.dim)
 
-        def evaluate(x):
-            f, g = objective.evaluate(x)
+        def evaluate(x, shared):
+            f, g = objective.evaluate(x, shared)
             if np.array_equal(x, x0):
                 f = float(np.nextafter(f, -np.inf))
             return f, g
@@ -355,8 +356,8 @@ class TestFastFormCheck:
         objective, oracle = self.pair(with_rows)
         x0 = self.first_centre(objective.dim)
 
-        def at(x):
-            at_x = oracle.at(x)
+        def at(x, shared):
+            at_x = oracle.at(x, shared)
             if np.array_equal(x, x0):
                 return lambda r: float(np.nextafter(at_x(r), -np.inf))
             return at_x
@@ -364,12 +365,58 @@ class TestFastFormCheck:
         planted = replace(oracle, at=at)
         assert check_lfso_validity(objective, planted, self.SPEC).violations == 1
 
+    @staticmethod
+    def regression_pair(with_rows):
+        """The suite's ``lp-norm p=3`` pair, built here to know A and b."""
+        problem, oracle = make_lp_regression(np.eye(10), np.zeros(10), 3)
+        objective = problem.objective()
+        if not with_rows:
+            objective = replace(objective, eval_rows=None, grad_rows=None)
+        return problem, objective, oracle
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    def test_one_ulp_off_fast_bound_is_a_violation(self, with_rows):
+        _, objective, oracle = self.regression_pair(with_rows)
+        x0 = self.first_centre(objective.dim)
+
+        def fast_bound(x, shared):
+            value = objective.fast_bound(x, shared)
+            if np.array_equal(x, x0):
+                value = float(np.nextafter(value, np.inf))
+            return value
+
+        assert check_lfso_validity(objective, oracle, self.SPEC).violations == 0
+        planted = replace(objective, fast_bound=fast_bound)
+        assert check_lfso_validity(planted, oracle, self.SPEC).violations == 1
+
+    @pytest.mark.parametrize("with_rows", [True, False])
+    def test_colliding_key_is_a_violation(self, with_rows):
+        # at the first sample the bound reader stores its own value under
+        # the key of the residual power the oracle's at reads next, as a
+        # reader built with that key would: the bound itself is right, and
+        # only the check's one dict per sample, in the loop's order, shows
+        # the wrong L(x, R)
+        problem, objective, oracle = self.regression_pair(with_rows)
+        x0 = self.first_centre(objective.dim)
+        key = core.shared_key("residual-inf^4", problem.a, problem.b)
+
+        def fast_bound(x, shared):
+            value = objective.fast_bound(x, shared)
+            assert key in shared
+            if np.array_equal(x, x0):
+                shared[key] = (value, value)
+            return value
+
+        planted = replace(objective, fast_bound=fast_bound)
+        assert check_lfso_validity(planted, oracle, self.SPEC).violations == 1
+
     def test_report_unchanged_without_fast_forms(self):
-        objective, oracle = self.pair(True)
-        assert (check_lfso_validity(objective, oracle, self.SPEC).render()
-                == check_lfso_validity(replace(objective, evaluate=None),
-                                       replace(oracle, at=None),
-                                       self.SPEC).render())
+        for name in ("norm2-pow p=3", "lp-norm p=3"):
+            objective, oracle = self.pair(True, name)
+            assert (check_lfso_validity(objective, oracle, self.SPEC).render()
+                    == check_lfso_validity(
+                        replace(objective, evaluate=None, fast_bound=None),
+                        replace(oracle, at=None), self.SPEC).render())
 
 
 class TestMonotoneCheck:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 760.0, 560.0
 MARGIN_LEFT, MARGIN_RIGHT = 80.0, 30.0
 MARGIN_TOP, MARGIN_BOTTOM = 50.0, 60.0
@@ -23,25 +25,30 @@ def _fmt(value: float) -> str:
 def write_log_plot(path, curves, title: str, x_label: str, y_label: str) -> None:
     """Write an SVG overlaying ``curves`` = [(label, xs, ys), ...] with a
     log10 y-axis.  A polyline ends before its first y that is not positive
-    or is NaN (no logarithm); a curve that dies at once stays in the legend.
+    or not finite (no logarithm to plot); a curve that dies at once stays
+    in the legend.  A curve of more than 1600 points keeps every s-th one,
+    s = ceil(points / 1500), and its last.
     """
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     points = []
     for _, xs, ys in curves:
-        pairs = []
-        for x, y in zip(xs, ys):
-            if not y > 0.0:
-                break
-            pairs.append((float(x), float(y)))
-        if len(pairs) > 1600:
-            stride = math.ceil(len(pairs) / 1500)
-            pairs = pairs[::stride] + [pairs[-1]]
-        points.append(pairs)
+        ys = np.asarray(ys, dtype=np.float64)[:len(xs)]
+        with np.errstate(invalid="ignore"):
+            plottable = (ys > 0.0) & (ys < math.inf)
+        n = int(np.append(~plottable, True).argmax())
+        xs = np.asarray(xs[:n], dtype=np.float64)
+        ys = ys[:n]
+        if n > 1600:
+            stride = math.ceil(n / 1500)
+            xs = np.append(xs[::stride], xs[-1])
+            ys = np.append(ys[::stride], ys[-1])
+        # math.log10 per kept point: numpy's log10 need not match libm
+        points.append(list(zip(xs.tolist(), map(math.log10, ys.tolist()))))
 
     all_x = [x for pairs in points for x, _ in pairs]
-    all_logy = [math.log10(y) for pairs in points for _, y in pairs]
+    all_logy = [logy for pairs in points for _, logy in pairs]
     x_min, x_max = (min(all_x), max(all_x)) if all_x else (0.0, 1.0)
     if x_max == x_min:
         x_max = x_min + 1.0
@@ -106,7 +113,7 @@ def write_log_plot(path, curves, title: str, x_label: str, y_label: str) -> None
         color = PALETTE[idx % len(PALETTE)]
         if pairs:
             coords = " ".join(
-                f"{_fmt(px(x))},{_fmt(py(math.log10(y)))}" for x, y in pairs)
+                f"{_fmt(px(x))},{_fmt(py(logy))}" for x, logy in pairs)
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_TOP + 16 + 18 * idx

@@ -450,35 +450,45 @@ def check_holder(spec: SampleSpec, t_values: Sequence[float],
 
 
 def _window(values: Sequence[float]):
-    usable = []
-    for v in values:
-        if not v > RATE_FLOOR:
-            break
-        usable.append(float(v))
-    n = len(usable)
+    """The tail window of ``values`` as a float64 array, with its first index
+    ``start`` and the count ``n`` of usable values.  The sequence is cut at
+    its first value that is not finite or not above ``RATE_FLOOR``; the
+    window is the last half of the n values before the cut, from index
+    floor(n/2)."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        usable = (values > RATE_FLOOR) & (values < math.inf)
+    n = int(np.append(~usable, True).argmax())
     start = n // 2
-    return usable[start:], start, n
+    return values[start:n], start, n
 
 
 def fit_linear_rate(values: Sequence[float]) -> RateFit:
     """Fit ln(value_k) against k over the tail window: the sequence is cut
-    at its first value not above ``RATE_FLOOR``, and the window is the last
-    half of what remains, from index floor(n/2) of those n values.  Needs
-    at least 3 points in the window."""
-    return _fit_tail(values, lambda ks: ks)
+    at its first value that is not finite or not above ``RATE_FLOOR``, and
+    the window is the last half of what remains, from index floor(n/2) of
+    those n values.  Needs at least 3 points in the window."""
+    return _fit_tail(_window(values), _linear)
 
 
 def fit_powerlaw_rate(values: Sequence[float]) -> RateFit:
     """Fit ln(value_k) against ln(k + 1) over the same tail window; a high
     r_squared here with a poor log-linear fit signals a sublinear decay."""
-    return _fit_tail(values, lambda ks: np.log(ks + 1.0))
+    return _fit_tail(_window(values), _powerlaw)
 
 
-def _fit_tail(values: Sequence[float],
-              abscissa: Callable[[np.ndarray], np.ndarray]) -> RateFit:
-    """Least-squares line through (abscissa(k), ln value_k) over the tail
-    window of ``values``."""
-    window, start, n = _window(values)
+def _linear(ks: np.ndarray) -> np.ndarray:
+    return ks
+
+
+def _powerlaw(ks: np.ndarray) -> np.ndarray:
+    return np.log(ks + 1.0)
+
+
+def _fit_tail(tail, abscissa: Callable[[np.ndarray], np.ndarray]) -> RateFit:
+    """Least-squares line through (abscissa(k), ln value_k) over ``tail``,
+    a ``(window, start, n)`` triple from :func:`_window`."""
+    window, start, n = tail
     if len(window) < 3:
         raise InsufficientDataError(
             f"rate fit needs >= 3 positive values, got {len(window)}")
@@ -496,17 +506,20 @@ def _fit_tail(values: Sequence[float],
 
 def classify_rate(values: Sequence[float]) -> str:
     """Label a decay sequence from the fits over the tail window of
-    :func:`fit_linear_rate`: "exact" if it dies within two recorded
-    values, "linear" if the tail log-linear fit has R^2 >= 0.99, beats the
-    power-law fit and falls, "sublinear" if the power-law fit wins and
-    falls.  A tail that does not fall (constant or growing), and a sequence
-    too short to fit that never dies, is "indeterminate"."""
-    _, _, n = _window(values)
-    if n <= 2 and n < len(values):
+    :func:`fit_linear_rate`: "exact" if it dies (falls to ``RATE_FLOOR`` or
+    below, or to NaN) within two recorded values, "linear" if the tail
+    log-linear fit has R^2 >= 0.99, beats the power-law fit and falls,
+    "sublinear" if the power-law fit wins and falls.  A tail that does not
+    fall (constant or growing), and a sequence too short to fit that never
+    dies, is "indeterminate"; one that overflows to inf does not die.  The
+    window is formed once for both fits."""
+    tail = _window(values)
+    n = tail[2]
+    if n <= 2 and n < len(values) and values[n] != math.inf:
         return "exact"
     try:
-        lin = fit_linear_rate(values)
-        power = fit_powerlaw_rate(values)
+        lin = _fit_tail(tail, _linear)
+        power = _fit_tail(tail, _powerlaw)
     except InsufficientDataError:
         return "indeterminate"
     if (lin.r_squared >= 0.99 and lin.r_squared >= power.r_squared

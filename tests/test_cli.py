@@ -479,6 +479,19 @@ class TestLogPlot:
         points = self.polyline_points(tmp_path, [1.0, 0.5, math.nan, 0.25])
         assert len(points) == 2
 
+    def test_inf_ends_the_polyline(self, tmp_path):
+        points = self.polyline_points(tmp_path, [1.0, 0.5, math.inf, 0.25])
+        assert len(points) == 2
+
+    def test_long_curve_keeps_every_stride_th_point_and_its_last(self,
+                                                                 tmp_path):
+        # 3001 points: stride ceil(3001 / 1500) = 3 keeps k = 0, 3, ..., 3000
+        # and then k = 3000 again as the last point
+        points = self.polyline_points(tmp_path,
+                                      [0.999 ** k for k in range(3001)])
+        assert len(points) == 1002
+        assert points[-1] == points[-2]
+
 
 class TestVerifyCommand:
     def test_clean_suite_exits_0(self, capsys):

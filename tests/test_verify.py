@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfso import core, verify
-from lfso.cli import shipped_pairs
+from lfso.cli import shipped_pairs, summarize_trace
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
                        euclidean_norm, run_fixed_gd, run_lfso_gd)
 from lfso.errors import (AssumptionUnmetError, InsufficientDataError,
@@ -869,6 +870,171 @@ class TestRateFitting:
         assert fit.slope == pytest.approx(3.0 * math.log(26.0 / 27.0),
                                           rel=1e-9)
         assert fit.r_squared >= 1.0 - 1e-9
+
+
+def reference_window(values):
+    """The rate fits' window as a per-value loop over a list."""
+    usable = []
+    for v in values:
+        if not v > verify.RATE_FLOOR:
+            break
+        usable.append(float(v))
+    n = len(usable)
+    start = n // 2
+    return usable[start:], start, n
+
+
+def reference_fit(values, abscissa):
+    window, start, n = reference_window(values)
+    if len(window) < 3:
+        raise InsufficientDataError(
+            f"rate fit needs >= 3 positive values, got {len(window)}")
+    xs = abscissa(np.arange(start, n, dtype=np.float64))
+    ys = np.log(window)
+    design = np.vstack([xs, np.ones_like(xs)]).T
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    pred = design @ coef
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return verify.RateFit(slope=float(coef[0]), r_squared=r_squared,
+                          window=(start, n - 1))
+
+
+def reference_linear(values):
+    return reference_fit(values, lambda ks: ks)
+
+
+def reference_powerlaw(values):
+    return reference_fit(values, lambda ks: np.log(ks + 1.0))
+
+
+def reference_classify(values):
+    _, _, n = reference_window(values)
+    if n <= 2 and n < len(values):
+        return "exact"
+    try:
+        lin = reference_linear(values)
+        power = reference_powerlaw(values)
+    except InsufficientDataError:
+        return "indeterminate"
+    if (lin.r_squared >= 0.99 and lin.r_squared >= power.r_squared
+            and lin.slope < 0.0):
+        return "linear"
+    if power.r_squared > lin.r_squared and power.slope < 0.0:
+        return "sublinear"
+    return "indeterminate"
+
+
+def outcome(fn, values):
+    """What ``fn(values)`` gives, with floats as their bits and an error as
+    its type and message."""
+    try:
+        result = fn(values)
+    except InsufficientDataError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, str):
+        return result
+    return (np.float64(result.slope).view(np.uint64),
+            np.float64(result.r_squared).view(np.uint64), result.window)
+
+
+# Positive normal values well above the fit's floor, so that windows are
+# long, with a few values planted that are subnormal, +-0.0, negative, NaN,
+# the smallest normal, or at the floor.
+_SPECIAL = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.2e-308),
+    st.sampled_from([0.0, -0.0, math.nan, verify.RATE_FLOOR,
+                     float(np.nextafter(verify.RATE_FLOOR, 1.0)), 2.3e-308]),
+    st.floats(max_value=-5e-324, allow_infinity=False))
+
+
+@st.composite
+def rate_sequences(draw):
+    size = draw(st.integers(0, 300))
+    values = draw(st.lists(st.floats(min_value=1e-200, max_value=1e200),
+                           min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 3)) if values else 0):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_SPECIAL)
+    return values
+
+
+class TestRateFitsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(values=rate_sequences())
+    def test_fits_and_label_bit_for_bit(self, values):
+        want = [outcome(fn, values) for fn in
+                (reference_linear, reference_powerlaw, reference_classify)]
+        for given_values in (values, tuple(values),
+                             [np.float64(v) for v in values]):
+            got = [outcome(fn, given_values) for fn in
+                   (fit_linear_rate, fit_powerlaw_rate, classify_rate)]
+            assert got == want
+
+
+class TestRateFitWork:
+    @staticmethod
+    def counted(monkeypatch, owner, name, calls):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def test_summary_line_scans_twice_and_fits_three_lines(self,
+                                                           monkeypatch):
+        problem, oracle = make_norm_power(10, 2)
+        config = SolverConfig(r_policy=RPolicy.grad_g_norm(problem.g.grad),
+                              max_iters=200)
+        trace = run_lfso_gd(oracle, problem.objective(), np.ones(10), config)
+        calls = {"_window": 0, "lstsq": 0}
+        self.counted(monkeypatch, verify, "_window", calls)
+        self.counted(monkeypatch, np.linalg, "lstsq", calls)
+        line = summarize_trace(trace, "t")
+        assert "rate=linear slope=" in line
+        assert calls == {"_window": 2, "lstsq": 3}
+
+
+class TestInfiniteRatios:
+    @staticmethod
+    def inf_ratio_trace():
+        # f = ||x||^2 with eta = 1.5 steps x to -2x, so ||grad f|| doubles
+        # from about 6e-300 and its ratio to the first overflows at k = 1024
+        # while both norms stay finite
+        problem, _ = make_norm_power(10, 1)
+        return run_fixed_gd(problem.objective(), np.full(10, 1e-300), 1.5,
+                            max_iters=1500)
+
+    def test_fit_ends_before_the_first_inf(self):
+        trace = self.inf_ratio_trace()
+        ratios = trace.grad_ratios()
+        cut = ratios.index(math.inf)
+        assert all(math.isfinite(g) for g in trace.grad_norms())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_linear_rate(ratios)
+            label = classify_rate(ratios)
+        assert fit.window == (cut // 2, cut - 1)
+        assert fit.slope == pytest.approx(math.log(2.0), rel=1e-9)
+        assert math.isfinite(fit.r_squared)
+        assert label == "indeterminate"
+
+    def test_summary_line_has_no_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = summarize_trace(self.inf_ratio_trace(), "t")
+        assert "nan" not in line
+        assert "final_grad_ratio=inf rate=indeterminate" in line
+
+    def test_overflow_is_not_an_exact_stop(self):
+        # the cut at inf within two values is a blow-up, not a value that died
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_rate([1.0, math.inf]
+                                 + [0.5 ** k for k in range(10)]) \
+                == "indeterminate"
+            assert classify_rate([1.0, -math.inf]) == "exact"
 
 
 class TestRegressionQlinear:

@@ -196,9 +196,13 @@ def execute(cfg: ExperimentConfig, bundle: ExperimentBundle,
                        keep_iterates=keep_iterates)
 
 
-def write_trace_csv(path: str, trace: RunTrace) -> None:
-    """One row per iterate; the final row carries sentinel step fields."""
-    ratios = trace.grad_ratios()
+def write_trace_csv(path: str, trace: RunTrace, *,
+                    ratios: Optional[list] = None) -> None:
+    """One row per iterate; the final row carries sentinel step fields.
+    ``ratios``, when given, is ``trace.grad_ratios()``, formed once by the
+    caller."""
+    if ratios is None:
+        ratios = trace.grad_ratios()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
         for rec, ratio in zip(trace.records, ratios):
@@ -210,8 +214,12 @@ def write_trace_csv(path: str, trace: RunTrace) -> None:
             ratios[-1]))
 
 
-def summarize_trace(trace: RunTrace, label: str) -> str:
-    ratios = trace.grad_ratios()
+def summarize_trace(trace: RunTrace, label: str, *,
+                    ratios: Optional[list] = None) -> str:
+    """The run's one-line summary; ``ratios`` as in
+    :func:`write_trace_csv`."""
+    if ratios is None:
+        ratios = trace.grad_ratios()
     final_ratio = ratios[-1]
     rate = checks.classify_rate(ratios)
     parts = [label,
@@ -266,11 +274,12 @@ def reproduce_figure(figure: str, out_dir: str,
         bundle = build_experiment(cfg)
         trace = execute(cfg, bundle)
         path = os.path.join(out_dir, f"{figure}_p{p}.csv")
-        write_trace_csv(path, trace)
-        written.append(path)
         ratios = trace.grad_ratios()
+        write_trace_csv(path, trace, ratios=ratios)
+        written.append(path)
         curves.append((f"p={p}", list(range(len(ratios))), ratios))
-        print(summarize_trace(trace, f"{figure} p={p} eta={cfg.eta:g}"))
+        print(summarize_trace(trace, f"{figure} p={p} eta={cfg.eta:g}",
+                              ratios=ratios))
     svg_path = os.path.join(out_dir, f"{figure}.svg")
     _svg.write_log_plot(svg_path, curves, title,
                         "iteration k", "grad norm ratio")
@@ -317,6 +326,7 @@ def shipped_pairs(bundles: Optional[list] = None):
                for name, bundle in named.items()])
 
 
+@checks._draw_once()
 def verify_all(seed: int, include_controls: bool = False):
     """Run every check on every shipped pair plus short solver runs.
 
@@ -325,7 +335,8 @@ def verify_all(seed: int, include_controls: bool = False):
     violations are expected and the exit status is nonzero.  ``seconds``
     maps each report block's name to the wall seconds of its check,
     ``"run <label>"`` to those of each solver run, and ``"total"`` to
-    those of the whole suite.
+    those of the whole suite.  The validity samples of each (spec, dim)
+    are drawn once per call and shared read-only by its checks.
     """
     suite_start = time.perf_counter()
     reports = []

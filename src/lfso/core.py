@@ -108,9 +108,16 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def each_float(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
     """``float(fn(t))`` for every entry ``t`` of a 1-D array, each passed as
-    a Python float: the row form of a scalar callable, bit for bit."""
-    return np.array([float(fn(t))
-                     for t in np.asarray(ts, dtype=np.float64).tolist()])
+    a Python float: the row form of a scalar callable, bit for bit.
+
+    A ``fn`` with a ``rows`` attribute gets the whole float64 array in one
+    call ``fn.rows(ts)``, which must return those values bit for bit as a
+    float64 array; any other ``fn`` is called once per entry."""
+    ts = np.asarray(ts, dtype=np.float64)
+    rows = getattr(fn, "rows", None)
+    if rows is not None:
+        return rows(ts)
+    return np.array([float(fn(t)) for t in ts.tolist()])
 
 
 def euclidean_norm_rows(v: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ def composition_lfso(problem: "CompositionProblem") -> Lfso:
     ``at(x, {})(R)``.
 
     The oracle has a row form when the inner ``g`` has ``grad_rows``; it
-    calls ``h'`` and ``h''`` on each entry, as the scalar form does.
+    applies ``h'`` and ``h''`` through :func:`~lfso.core.each_float`.
     """
     g = problem.g
     read_norm = inner_grad_norm_reader(g.grad)

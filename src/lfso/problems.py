@@ -29,8 +29,10 @@ class CompositionProblem:
     (constant mu_g), h increasing and convex with non-decreasing h''.
 
     When ``g`` has row forms, the objective and
-    :func:`~lfso.oracles.composition_lfso` get them too, calling ``h``,
-    ``h_prime`` and ``h_double_prime`` on each entry.
+    :func:`~lfso.oracles.composition_lfso` get them too, applying ``h``,
+    ``h_prime`` and ``h_double_prime`` through
+    :func:`~lfso.core.each_float`: once per array where they carry a row
+    form, as those of :func:`make_norm_power` do, else once per entry.
     """
 
     g: GradientOracle
@@ -181,7 +183,13 @@ class LpRegressionProblem:
 
 
 class QuarticProblem:
-    """Scalar f(x) = x^4 with the hand-derived oracle 24 x^2 + 24 R^2."""
+    """Scalar f(x) = x^4 with the hand-derived oracle 24 x^2 + 24 R^2.
+
+    The objective and the oracle have row forms that make the scalar
+    forms' products left to right on whole columns.  The oracle squares
+    with ``*``, which is correctly rounded in numpy and in Python alike,
+    not with ``**``, whose libm ``pow`` is one ulp off on about 0.1% of
+    inputs."""
 
     dim = 1
 
@@ -190,10 +198,25 @@ class QuarticProblem:
             dim=1,
             eval=lambda x: float(ipow(float(x[0]), 4)),
             grad=lambda x: np.array([4.0 * ipow(float(x[0]), 3)]),
+            eval_rows=lambda xs: ipow(xs[:, 0], 4),
+            grad_rows=lambda xs: 4.0 * ipow(xs[:, :1], 3),
         )
 
     def lfso(self) -> Lfso:
-        return Lfso(eval=lambda x, r: 24.0 * float(x[0]) ** 2 + 24.0 * float(r) ** 2)
+        def value(x: Vector, r: float) -> float:
+            return 24.0 * _square(float(x[0])) + 24.0 * _square(float(r))
+
+        return Lfso(eval=value, eval_rows=lambda xs, radii: (
+            24.0 * (xs[:, 0] * xs[:, 0]) + 24.0 * (radii * radii)))
+
+
+def _square(t: float) -> float:
+    """``t * t``, raising ``OverflowError`` where a finite ``t`` squares to
+    inf, as ``t ** 2`` does."""
+    square = t * t
+    if square == math.inf and math.isfinite(t):
+        raise OverflowError(34, "Numerical result out of range")
+    return square
 
 
 def _whole(name: str, value) -> bool:
@@ -228,7 +251,11 @@ def make_norm_power(d: int, p: int):
 def _scaled_power(c: int, k: int) -> Callable[[float], float]:
     """``t -> c * ipow(float(t), k)``, bit for bit, in one call: h, h' and
     h'' of :func:`make_norm_power`, which a solver step calls up to six
-    times.  The powers multiply left to right, as ``ipow`` does."""
+    times.  The powers multiply left to right, as ``ipow`` does.
+
+    Its ``rows`` attribute, read by :func:`~lfso.core.each_float`, makes
+    the same products on a whole float64 array, so each entry equals the
+    scalar call's bits."""
     def power(t) -> float:
         t = float(t)
         result = t if k else 1.0
@@ -236,6 +263,13 @@ def _scaled_power(c: int, k: int) -> Callable[[float], float]:
             result = result * t
         return c * result
 
+    def power_rows(ts: np.ndarray) -> np.ndarray:
+        result = ts if k else np.ones_like(ts)
+        for _ in range(k - 1):
+            result = result * ts
+        return c * result
+
+    power.rows = power_rows
     return power
 
 

@@ -8,6 +8,8 @@ in each report so sample sets can be regenerated.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -15,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (_NORMAL_FLOOR, GradientOracle, Lfso, RPolicy, RunTrace,
-                   SolverConfig, _whole_count, euclidean_norm, row_dots,
-                   run_lfso_gd)
+                   SolverConfig, _whole_count, each_float, euclidean_norm,
+                   euclidean_norm_rows, row_dots, run_lfso_gd)
 from .errors import (AssumptionUnmetError, InsufficientDataError,
                      MissingDiagnosticsError)
 from .problems import CompositionProblem, LpRegressionProblem, QuarticProblem
@@ -37,6 +39,10 @@ _QLINEAR_BLOCK_BYTES = 1 << 20
 # ``evaluate``, ``fast_bound`` and ``at``, where the pair has them.  Any
 # bit difference is a violation.
 _CROSS_CHECK_STRIDE = 17
+
+# Inside a :func:`_draw_once` block, the validity samples drawn so far, by
+# (spec, dim); None outside one.
+_DRAWN = contextvars.ContextVar("lfso_validity_samples", default=None)
 
 
 @dataclass(frozen=True)
@@ -177,6 +183,33 @@ def _validity_samples(spec: SampleSpec, d: int):
     return xs, radii, ys
 
 
+@contextlib.contextmanager
+def _draw_once():
+    """Within the block, or each call of a function it decorates,
+    :func:`check_lfso_validity` draws the samples of each (spec, dim) once,
+    and every call with the same spec and dim reads those arrays, made
+    read-only; nothing drawn outlives the block."""
+    token = _DRAWN.set({})
+    try:
+        yield
+    finally:
+        _DRAWN.reset(token)
+
+
+def _samples_for(spec: SampleSpec, d: int):
+    """:func:`_validity_samples` of ``(spec, d)``, drawn once per
+    :func:`_draw_once` block, or drawn afresh outside one."""
+    drawn = _DRAWN.get()
+    if drawn is None:
+        return _validity_samples(spec, d)
+    samples = drawn.get((spec, d))
+    if samples is None:
+        xs, radii, ys = _validity_samples(spec, d)
+        xs.flags.writeable = ys.flags.writeable = False
+        samples = drawn[spec, d] = xs, tuple(radii), ys
+    return samples
+
+
 def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
                         spec: SampleSpec, name: str = "lfso-validity") -> CheckReport:
     """Sample (x, R, y in B(x, R)) triples and test the remainder bound
@@ -204,9 +237,12 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     values is NaN or infinite, from a call that raised
     ``OverflowError`` or from overflow (huge radii).  ``violations`` counts
     each failing sample once, so it never exceeds ``spec.num_points``.
+
+    Inside :func:`_draw_once`, as in ``lfso verify``, the samples of a
+    (spec, dim) are drawn once and shared read-only by every call.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, radii, ys = _validity_samples(spec, problem.dim)
+        xs, radii, ys = _samples_for(spec, problem.dim)
         diffs = ys - xs
         failed = np.zeros(spec.num_points, dtype=bool)
         picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
@@ -250,11 +286,12 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
     require L(x, R_i) <= L(x, R_{i+1}) * (1 + 1e-14).
 
     Each drop is a violation.  An oracle with ``eval_rows`` is evaluated
-    at all samples per grid radius, and a stride of the samples is also
-    evaluated through ``oracle.eval``; each sample whose values differ in
-    any bit counts as one violation.  So does each sample with a NaN or
-    infinite value on the grid, from a call that raised ``OverflowError``
-    or a row form that overflowed, whose drops are not counted as well."""
+    on the whole sample-by-radius grid in one call, each centre repeated
+    once per radius, and a stride of the samples is also evaluated through
+    ``oracle.eval``; each sample whose values differ in any bit counts as
+    one violation.  So does each sample with a NaN or infinite value on
+    the grid, from a call that raised ``OverflowError`` or a row form that
+    overflowed, whose drops are not counted as well."""
     rng = np.random.default_rng(spec.seed)
     low, high = spec.x_box
     grid = np.geomspace(spec.r_range[0], spec.r_range[1], 12).tolist()
@@ -268,10 +305,11 @@ def check_monotone_in_R(oracle: Lfso, spec: SampleSpec, dim: int,
     if oracle.eval_rows is None:
         values = scalar_values(xs)
     else:
+        n, m = len(xs), len(grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.column_stack([
-                oracle.eval_rows(xs, np.full(len(xs), r))
-                for r in grid]).astype(np.float64, copy=False)
+            values = oracle.eval_rows(np.repeat(xs, m, axis=0),
+                                      np.tile(grid, n))
+        values = np.asarray(values, dtype=np.float64).reshape(n, m)
         picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
         failed[picks] = _rows_differing(scalar_values(xs[picks]), values[picks])
     non_finite = ~np.isfinite(values).all(axis=1)
@@ -386,19 +424,32 @@ def check_composition_run(problem: CompositionProblem, trace: RunTrace,
 
     Both quantities are derived from the stored iterates, so the run needs
     ``keep_iterates=True``; a record whose R_k is not ||grad g(x_k)|| raises
-    :class:`MissingDiagnosticsError`."""
+    :class:`MissingDiagnosticsError`.  When ``g`` has ``eval_rows`` and
+    ``grad_rows``, ||grad g(x_k)|| and h'(g(x_k)) of every iterate come
+    from one call of each, bit-equal by their contracts; otherwise from
+    ``g.grad``, ``g.eval`` and ``h_prime`` per iterate."""
     if trace.algorithm != "lfso":
         raise ValueError("check_composition_run expects a trace from run_lfso_gd")
     if trace.iterates is None:
         raise MissingDiagnosticsError(
             "trace lacks iterates; run with keep_iterates=True")
+    g, h_prime = problem.g, problem.h_prime
+    iterates = trace.iterates[:len(trace.records)]
+    if g.eval_rows is None or g.grad_rows is None:
+        grad_norms = (euclidean_norm(g.grad(x)) for x in iterates)
+        factors = (float(h_prime(float(g.eval(x)))) for x in iterates)
+    else:
+        xs = np.array(iterates).reshape(-1, g.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_norms = euclidean_norm_rows(g.grad_rows(xs)).tolist()
+            factors = each_float(h_prime, g.eval_rows(xs)).tolist()
     d_cap = max(1.0, eta / problem.l_g)
     eff_cap = eta / problem.l_g
     violations = 0
     min_eff = float("inf")
     max_d = 0.0
-    for rec, x in zip(trace.records, trace.iterates):
-        if rec.r_k != euclidean_norm(problem.g.grad(x)):
+    for rec, grad_norm, factor in zip(trace.records, grad_norms, factors):
+        if rec.r_k != grad_norm:
             raise MissingDiagnosticsError(
                 f"R_k at k={rec.k} is not ||grad g(x_k)||; "
                 "run with RPolicy.grad_g_norm(problem.g.grad)")
@@ -406,7 +457,7 @@ def check_composition_run(problem: CompositionProblem, trace: RunTrace,
         max_d = max(max_d, inflation)
         if not (1.0 - 1e-12 <= inflation <= d_cap + 1e-12):
             violations += 1
-        eff = eta * float(problem.h_prime(float(problem.g.eval(x)))) / rec.l_k
+        eff = eta * factor / rec.l_k
         min_eff = min(min_eff, eff)
         if eff > eff_cap * (1.0 + 1e-12):
             violations += 1

@@ -15,13 +15,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lfso
 import lfso.problems as problems_module
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
-                       euclidean_norm, inner_grad_norm, inner_grad_norm_reader,
-                       residual, residual_inf, residual_inf_reader, row_dots,
-                       run_lfso_gd)
+                       each_float, euclidean_norm, inner_grad_norm,
+                       inner_grad_norm_reader, residual, residual_inf,
+                       residual_inf_reader, row_dots, run_lfso_gd)
 from lfso.errors import (NegativeCurvatureError, NonFiniteValueError,
                          ShapeMismatchError, ZeroOracleError)
 from lfso.oracles import (ConstantLfsoParams, composition_lfso, constant_lfso,
@@ -30,7 +32,8 @@ from lfso.problems import (CompositionProblem, QuarticProblem, condition_number,
                            load_regression_data, make_lp_regression,
                            make_norm_power, regression_constants,
                            spectral_norm)
-from lfso.verify import SampleSpec, _validity_samples
+from lfso.verify import (SampleSpec, _validity_samples, check_lfso_validity,
+                         check_monotone_in_R)
 
 
 def central_diff_grad(f, x, h=6e-6):
@@ -462,11 +465,12 @@ class TestQuarticProblem:
         # x^4 = ||A x - b||_4^4 at A = [[1]], b = 0, p = 2, whose oracle
         # coef * (|x|^2 + row_pow * R^2) has coef = 24 and row_pow = 1.
         # f and grad f take the same float operations.  L takes five
-        # roundings on the quartic side (x**2, r**2, two products by 24,
+        # roundings on the quartic side (x * x, r * r, two products by 24,
         # the sum) and four on the lp side (the two squares, the sum, the
         # product by coef), each of nonnegative terms, so both lie within
         # gamma_5 and gamma_4 of the exact 24 (x^2 + R^2), and
         # gamma_5 + gamma_4 <= gamma_9 (Higham's gamma_n = n u / (1 - n u)).
+        # The quartic squares x and R with *, the lp side with ipow.
         quartic = QuarticProblem()
         lp, lp_oracle = make_lp_regression(np.eye(1), np.zeros(1), 2)
         assert (lp.coef, lp.row_pow) == (24.0, 1.0)
@@ -650,6 +654,104 @@ class TestRowForms:
         with pytest.raises(NegativeCurvatureError) as rows:
             oracle.eval_rows(xs, np.zeros(3))
         assert str(rows.value) == str(scalar.value)
+
+
+# Signed floats from every range a row form must match its scalar callable
+# on: zeros, subnormals, magnitudes about 1e+-150 and from 1e150 up to the
+# largest float, where the powers overflow, and any float, inf and NaN.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.tuples(st.one_of(
+        st.sampled_from([0.0, 5e-324, math.inf, math.nan]),
+        st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+        st.floats(min_value=1e-160, max_value=1e-140),
+        st.floats(min_value=1e150, max_value=sys.float_info.max)),
+        st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0]))
+
+# The errstate of the sampling checks, under which the row forms run.
+CHECK_ERRSTATE = dict(over="ignore", invalid="ignore")
+
+
+class TestRowFormProperties:
+    """The array forms equal their scalar callables bit for bit on any
+    floats: the powers h, h' and h'' of make_norm_power, and the quartic
+    objective and oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ts=st.lists(EDGE_FLOATS, max_size=16))
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_scaled_power_rows_equal_scalar_calls(self, p, ts):
+        # h'' = p (p - 1) t^max(p - 2, 0) takes the k = 0 case at p <= 2
+        problem, _ = make_norm_power(3, p)
+        array = np.array(ts, dtype=np.float64)
+        for fn in (problem.h, problem.h_prime, problem.h_double_prime):
+            with np.errstate(**CHECK_ERRSTATE):
+                rows = fn.rows(array)
+                via_each = each_float(fn, array)
+            assert rows.dtype == np.float64
+            want = [float(fn(t)) for t in ts]
+            assert bits(rows) == bits(want)
+            assert bits(via_each) == bits(want)
+
+    def test_each_float_calls_row_form_once(self):
+        calls = []
+
+        def fn(t):
+            calls.append("scalar")
+            return 2.0 * t
+
+        fn.rows = lambda ts: calls.append("rows") or 2.0 * ts
+        assert bits(each_float(fn, [1.0, 2.5])) == bits([2.0, 5.0])
+        assert calls == ["rows"]
+        # a callable without a row form is called once per entry
+        assert (bits(each_float(math.exp, [0.0, 1.0]))
+                == bits([1.0, math.exp(1.0)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), max_size=16))
+    # both squares here are one ulp apart with glibc's pow (** 2)
+    @example(pairs=[(-1.3275170599102342, -1.849539948621794)])
+    def test_quartic_rows_equal_scalar_calls(self, pairs):
+        objective = QuarticProblem().objective()
+        oracle = QuarticProblem().lfso()
+        xs = np.array([[x] for x, _ in pairs], dtype=np.float64).reshape(-1, 1)
+        radii = np.array([r for _, r in pairs], dtype=np.float64)
+        with np.errstate(**CHECK_ERRSTATE):
+            values = objective.eval_rows(xs)
+            grads = objective.grad_rows(xs)
+            lvals = oracle.eval_rows(xs, radii)
+        for i, (x, r) in enumerate(pairs):
+            assert bits(values[i]) == bits(objective.eval(xs[i]))
+            assert bits(grads[i]) == bits(objective.grad(xs[i]))
+            try:
+                want = oracle.eval(xs[i], r)
+            except OverflowError:
+                # a finite x or R whose square overflows, as with ** 2
+                assert not math.isfinite(lvals[i])
+                assert math.isinf(x * x) or math.isinf(r * r)
+            else:
+                assert bits(lvals[i]) == bits(want)
+
+    def test_quartic_square_overflow_raises(self):
+        oracle = QuarticProblem().lfso()
+        with pytest.raises(OverflowError):
+            oracle.eval(np.array([1.0]), 1e200)
+        with pytest.raises(OverflowError):
+            oracle.eval(np.array([-1e200]), 1.0)
+        assert oracle.eval(np.array([1.0]), math.inf) == math.inf
+        # no square overflows, but 24 R^2 does: inf, as with ** 2
+        assert oracle.eval(np.array([1.0]), 1e154) == math.inf
+
+    @pytest.mark.parametrize("seed", [74, 129, 130])
+    def test_quartic_checks_clean_where_pow_squares_differ(self, seed):
+        # each of these seeds cross-checks a sample whose square from
+        # ** 2 (libm pow) is one ulp off x * x, so an oracle whose scalar
+        # and row forms square in different ways fails here
+        objective, oracle = QuarticProblem().objective(), QuarticProblem().lfso()
+        spec = SampleSpec(num_points=1000, seed=seed)
+        assert check_lfso_validity(objective, oracle, spec).violations == 0
+        spec = SampleSpec(num_points=32, seed=seed)
+        assert check_monotone_in_R(oracle, spec, 1).violations == 0
 
 
 class TestRegressionDataFile:

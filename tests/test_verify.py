@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfso import core, verify
+from lfso import cli, core, verify
 from lfso.cli import shipped_pairs, summarize_trace
 from lfso.core import (GradientOracle, Lfso, RPolicy, SolverConfig,
                        euclidean_norm, run_fixed_gd, run_lfso_gd)
@@ -269,10 +269,11 @@ class TestRowFormEquivalence:
     """The row forms change no report: with them and without them, the
     validity and monotone blocks render identically."""
 
-    def test_only_quartic_takes_scalar_path(self):
+    def test_every_pair_has_row_forms(self):
+        # the scalar path stays covered by the scalar_only pairs below
         assert [name for name, (objective, oracle) in SUITE_PAIRS.items()
                 if None in (objective.eval_rows, objective.grad_rows,
-                            oracle.eval_rows)] == ["quartic"]
+                            oracle.eval_rows)] == []
 
     @pytest.mark.parametrize("name", sorted(SUITE_PAIRS))
     @pytest.mark.parametrize("seed", [0, 123456])
@@ -308,6 +309,22 @@ class TestRowFormEquivalence:
         assert report.render() == check_monotone_in_R(
             bare_oracle, spec, objective.dim).render()
 
+    @pytest.mark.parametrize("name", sorted(SUITE_PAIRS))
+    def test_monotone_grid_in_one_rows_call(self, name):
+        objective, oracle = SUITE_PAIRS[name]
+        calls = []
+
+        def eval_rows(xs, radii):
+            calls.append((len(xs), len(radii)))
+            return oracle.eval_rows(xs, radii)
+
+        spec = SampleSpec(num_points=32, seed=0)
+        report = check_monotone_in_R(replace(oracle, eval_rows=eval_rows),
+                                     spec, objective.dim)
+        assert calls == [(32 * 12, 32 * 12)]
+        assert report.render() == check_monotone_in_R(
+            Lfso(eval=oracle.eval), spec, objective.dim).render()
+
     def test_row_one_ulp_off_is_a_violation(self):
         objective, oracle = SUITE_PAIRS["norm2-pow p=3"]
         planted = one_ulp_low_at_first_sample(oracle)
@@ -317,6 +334,50 @@ class TestRowFormEquivalence:
         spec = SampleSpec(num_points=32, seed=0)
         assert check_monotone_in_R(oracle, spec, 10).violations == 0
         assert check_monotone_in_R(planted, spec, 10).violations == 1
+
+
+class TestSuiteSampleDraws:
+    """``verify_all`` draws the validity samples of each (spec, dim) once
+    per call and hands them to its checks read-only; direct calls of the
+    check draw afresh."""
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        draws = []
+        draw = verify._validity_samples
+
+        def counted(spec, d):
+            samples = draw(spec, d)
+            draws.append((spec, d, samples))
+            return samples
+
+        monkeypatch.setattr(verify, "_validity_samples", counted)
+        return draws
+
+    def test_once_per_spec_and_dim_per_suite_run(self, monkeypatch):
+        draws = self.count_draws(monkeypatch)
+        first = cli.verify_all(3, include_controls=True)[0]
+        # 12 validity blocks and the wrong-oracle control: the quartic
+        # samples d = 1, the other 12 d = 10
+        assert first.count("[lfso-validity ") == 12
+        assert "[CONTROL wrong-oracle]" in first
+        assert [(spec.seed, d) for spec, d, _ in draws] == [(3, 1), (3, 10)]
+        for _, _, (xs, _, ys) in draws:
+            assert not xs.flags.writeable and not ys.flags.writeable
+        # nothing carries over to the next call
+        second = cli.verify_all(3, include_controls=True)[0]
+        assert second == first
+        assert len(draws) == 4
+        assert draws[2][2][0] is not draws[0][2][0]
+
+    def test_direct_calls_draw_afresh(self, monkeypatch):
+        draws = self.count_draws(monkeypatch)
+        objective, oracle = SUITE_PAIRS["quartic"]
+        spec = SampleSpec(num_points=100, seed=0)
+        for _ in range(2):
+            check_lfso_validity(objective, oracle, spec)
+        assert len(draws) == 2
+        assert all(xs.flags.writeable for _, _, (xs, _, _) in draws)
 
 
 class TestFastFormCheck:
@@ -754,6 +815,14 @@ class TestCompositionCheck:
                             keep_iterates=True)
         with pytest.raises(MissingDiagnosticsError, match="k=0"):
             check_composition_run(problem, trace, 1.0)
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_same_report_without_row_forms(self, p):
+        problem, trace = self.run_norm_power(p)
+        bare = replace(problem, g=replace(problem.g, eval_rows=None,
+                                          grad_rows=None))
+        assert (check_composition_run(problem, trace, 1.0).render()
+                == check_composition_run(bare, trace, 1.0).render())
 
     @staticmethod
     def tampered(trace, **scale):

@@ -196,27 +196,20 @@ def inner_grad_norm_reader(grad_g: Callable[[Vector], Vector]) -> Callable:
     return read
 
 
-def residual_inf(a: np.ndarray, b: Vector, x: Vector) -> float:
-    """``||A x - b||_inf``, formed afresh by :func:`residual_inf_reader`."""
-    return residual_inf_reader(a, b)(x, {})
-
-
-def inner_grad_norm(grad_g: Callable[[Vector], Vector], x: Vector) -> float:
-    """``||grad_g(x)||_2``, formed afresh by :func:`inner_grad_norm_reader`."""
-    return inner_grad_norm_reader(grad_g)(x, {})
-
-
 @dataclass(frozen=True)
 class GradientOracle:
     """First-order access to an objective: values, gradients, and an
     optional computable upper bound on the gradient norm.
 
-    Two optional fast forms serve the solver, which hands each a ``shared``
-    dict, one per iterate, where readers of the same iterate leave values
-    for each other (see :func:`shared_key`).  ``evaluate(x, shared)``
-    returns ``(eval(x), grad(x))`` bit for bit from one call; the solvers
-    call it once per iterate in place of ``grad`` and ``eval``.
-    ``fast_bound(x, shared)`` returns ``grad_norm_bound(x)`` bit for bit.
+    The solver reads the objective through two per-iterate forms, each
+    handed one ``shared`` dict per iterate, where its readers leave values
+    for each other (see :func:`shared_key`): ``evaluate(x, shared)``
+    returns ``(eval(x), grad(x))`` and ``fast_bound(x, shared)`` returns
+    ``grad_norm_bound(x)``, bit for bit.  A form not given is formed at
+    construction, ``evaluate`` calling ``grad`` and then ``eval``, so only
+    an objective without ``grad_norm_bound`` has ``fast_bound`` None.
+    ``dataclasses.replace`` keeps formed forms too: a copy with new scalar
+    callables passes None for a form to have it formed again from them.
 
     ``eval_rows(X)`` and ``grad_rows(X)``, when given, evaluate every row of
     a 2-D ``X`` at once: ``eval_rows(X)[i]`` and ``grad_rows(X)[i]`` must
@@ -234,9 +227,22 @@ class GradientOracle:
     fast_bound: Optional[Callable[[Vector, dict], float]] = None
 
     def __post_init__(self) -> None:
-        if self.fast_bound is not None and self.grad_norm_bound is None:
+        bound = self.grad_norm_bound
+        if self.fast_bound is None:
+            if bound is not None:
+                object.__setattr__(self, "fast_bound",
+                                   lambda x, shared: bound(x))
+        elif bound is None:
             raise ValueError("fast_bound stands in for grad_norm_bound, "
                              "which this objective does not have")
+        if self.evaluate is None:
+            value, gradient = self.eval, self.grad
+
+            def evaluate(x: Vector, shared: dict) -> tuple:
+                g = gradient(x)
+                return value(x), g
+
+            object.__setattr__(self, "evaluate", evaluate)
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,10 @@ class Lfso:
     """Local smoothness oracle: ``eval(x, R)`` bounds the Taylor remainder
     factor on ``B(x, R)`` and is non-decreasing in ``R``.
 
-    ``at(x, shared)``, when given, returns the function ``R -> eval(x, R)``,
-    bit for bit, with the part that depends on ``x`` alone formed once; the
-    solver calls it once per step with the step's ``shared`` dict and
-    evaluates it at R_k and R~_k.
+    ``at(x, shared)`` returns ``R -> eval(x, R)``, bit for bit; the solver
+    calls it once per step and evaluates it at R_k and R~_k.  One not
+    given is formed as ``functools.partial(eval, x)``, as the forms of
+    :class:`GradientOracle` are.
 
     ``eval_rows(X, R)``, when given, returns ``eval(X[i], R[i])`` for every
     row of a 2-D ``X`` and entry of a 1-D ``R``, bit for bit.
@@ -257,19 +263,31 @@ class Lfso:
     eval_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     at: Optional[Callable[[Vector, dict], Callable[[float], float]]] = None
 
+    def __post_init__(self) -> None:
+        if self.at is None:
+            value = self.eval
+            object.__setattr__(self, "at", lambda x, shared:
+                               functools.partial(value, x))
+
 
 @dataclass(frozen=True)
 class RPolicy:
     """Rule producing the trial radius ``R_k`` from the current iterate.
 
-    ``fast(x, shared)``, when given, returns ``float(fn(x))`` bit for bit
-    from the step's ``shared`` dict; the solver calls it in place of
-    ``fn``.  ``kind`` names the rule for readers of a policy; nothing in
-    the package branches on it."""
+    ``fast(x, shared)`` returns ``float(fn(x))`` bit for bit; the solver
+    calls it in place of ``fn``.  One not given is formed as
+    ``float(fn(x))``, as the forms of :class:`GradientOracle` are.
+    ``kind`` names the rule for readers of a policy; nothing in the
+    package branches on it."""
 
     kind: str
     fn: Callable[[Vector], float]
     fast: Optional[Callable[[Vector, dict], float]] = None
+
+    def __post_init__(self) -> None:
+        if self.fast is None:
+            fn = self.fn
+            object.__setattr__(self, "fast", lambda x, shared: float(fn(x)))
 
     def __call__(self, x: Vector) -> float:
         return float(self.fn(x))
@@ -415,12 +433,9 @@ def _oracle_step(oracle: Lfso, bound: Optional[Callable[[Vector, dict], float]],
     which is inflated to R~_k so the step stays inside B(x_k, R~_k), and the
     step is ``(eta / L(x_k, R~_k)) * grad f(x_k)``.  ``bound(x, shared)``,
     when given, stands in for ``||grad f(x_k)||`` in the inflation.  The
-    policy is read through its fast form and the oracle is fixed at x_k
-    once through ``oracle.at``, where they have them, else through ``fn``
-    and ``oracle.eval``."""
-    eta, r_policy = config.eta, config.r_policy
-    radius = r_policy.fast or (lambda x, shared: r_policy(x))
-    at = oracle.at or (lambda x, shared: functools.partial(oracle.eval, x))
+    policy is read through ``fast`` and the oracle is fixed at x_k once
+    through ``at``, each with the step's ``shared`` dict."""
+    eta, radius, at = config.eta, config.r_policy.fast, oracle.at
 
     def rule(x: Vector, g: Vector, grad_norm: float, shared: dict):
         r_k = radius(x, shared)
@@ -472,13 +487,16 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
              keep_iterates: bool) -> RunTrace:
     """The iteration both solvers share, and the one place that decides why
     a run stops (see :class:`Termination`).  Each iterate gets one
-    ``shared`` dict, which the loop hands to every fast form that reads
-    the iterate.  Each iterate is evaluated once, by ``problem.evaluate``
-    when it has one, else by ``grad`` and then ``eval``; an iterate where
-    ``evaluate`` fails is evaluated the second way, so the run ends with
-    the error it gives.  ``rule(x, g, grad_norm, shared)`` returns the step
-    and the record's step fields in :class:`IterationRecord` order, from
-    ``r_k`` on.  The evaluation of the last iterate gives the final values.
+    ``shared`` dict, which the loop hands to every per-iterate form that
+    reads the iterate.  Each iterate is evaluated once, by
+    ``problem.evaluate``.  Where that fails, the loop calls ``grad``,
+    checks the gradient norm, calls ``eval`` and checks its value, in that
+    order, and then raises the error ``evaluate`` gave: so the run ends
+    with the first error of the scalar callables, as long as ``grad``
+    computes no objective value and ``eval`` no gradient.
+    ``rule(x, g, grad_norm, shared)`` returns the step and the record's
+    step fields in :class:`IterationRecord` order, from ``r_k`` on.  The
+    evaluation of the last iterate gives the final values.
     Once ``max_iters`` steps are taken the run stops on the budget,
     whatever the gradient at the last iterate.  An iterate is compared with
     the one before only when its gradient norm is the same, so an iterate
@@ -498,20 +516,16 @@ def _descend(problem: GradientOracle, x0: Vector, rule: Callable,
         with np.errstate(over="raise"):
             for k in range(max_iters + 1):
                 shared = {}
-                fast = evaluate is not None
-                if fast:
-                    try:
-                        f_val, g = evaluate(x, shared)
-                    except (NonFiniteValueError, OverflowError,
-                            FloatingPointError):
-                        # grad, its norm check and eval, in that order,
-                        # say which value fails first
-                        fast = False
-                if not fast:
-                    g = problem.grad(x)
+                try:
+                    f_val, g = evaluate(x, shared)
+                except (NonFiniteValueError, OverflowError,
+                        FloatingPointError):
+                    # grad, its norm check and eval, in that order, say
+                    # which value fails first
+                    _checked(_loop_norm(problem.grad(x)), "gradient norm")
+                    _checked(problem.eval(x), "objective value")
+                    raise
                 grad_norm = _checked(_loop_norm(g), "gradient norm")
-                if not fast:
-                    f_val = problem.eval(x)
                 f_val = _checked(f_val, "objective value")
                 if k == max_iters:
                     break
@@ -551,6 +565,9 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
     stationary, a step leaves it unchanged, or the budget is exhausted (see
     :class:`Termination`).
 
+    Each step reads ``problem.evaluate``, ``config.r_policy.fast``,
+    ``oracle.at`` and, with ``config.use_grad_bound``, ``fast_bound``.
+
     ``keep_iterates`` stores every iterate on the trace, final point
     included; the composition and Q-linear checks read them.  Raises
     ``ValueError`` when ``config.use_grad_bound`` is set and ``problem``
@@ -561,11 +578,10 @@ def run_lfso_gd(oracle: Lfso, problem: GradientOracle, x0: Vector,
     """
     bound = None
     if config.use_grad_bound:
-        scalar_bound = problem.grad_norm_bound
-        if scalar_bound is None:
+        if problem.grad_norm_bound is None:
             raise ValueError("use_grad_bound needs an objective with a "
                              "grad_norm_bound; this one has none")
-        bound = problem.fast_bound or (lambda x, shared: scalar_bound(x))
+        bound = problem.fast_bound
     return _descend(problem, x0, _oracle_step(oracle, bound, config), "lfso",
                     config.max_iters, config.grad_tol, keep_iterates)
 

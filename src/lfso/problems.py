@@ -49,8 +49,10 @@ class CompositionProblem:
             raise ValueError(f"mu_g ({self.mu_g}) cannot exceed l_g ({self.l_g})")
 
     def objective(self) -> GradientOracle:
-        """The composed objective with grad f = h'(g(x)) grad g(x).  Its
-        ``evaluate`` leaves ``grad g(x)`` in the step's ``shared`` dict for
+        """The composed objective with f = h(t) and grad f = h'(t) grad g(x)
+        at t = g(x), each written once: ``eval`` and ``grad`` form t for
+        themselves, and ``evaluate`` forms it once for both and leaves
+        ``grad g(x)`` in the step's ``shared`` dict for
         :func:`~lfso.core.inner_grad_norm_reader`."""
         g = self.g
         h = self.h
@@ -59,16 +61,21 @@ class CompositionProblem:
         grad_key = shared_key("grad-g", grad_g)
         rows = g.eval_rows is not None and g.grad_rows is not None
 
+        def value(t: float) -> float:
+            return float(h(t))
+
+        def gradient(t: float, inner: Vector) -> Vector:
+            return float(h_prime(t)) * inner
+
         def evaluate(x: Vector, shared: dict):
             t = float(g.eval(x))
-            factor = float(h_prime(t))
             inner = shared[grad_key] = grad_g(x)
-            return float(h(t)), factor * inner
+            return value(t), gradient(t, inner)
 
         return GradientOracle(
             dim=g.dim,
-            eval=lambda x: float(h(float(g.eval(x)))),
-            grad=lambda x: float(h_prime(float(g.eval(x)))) * grad_g(x),
+            eval=lambda x: value(float(g.eval(x))),
+            grad=lambda x: gradient(float(g.eval(x)), grad_g(x)),
             evaluate=evaluate,
             eval_rows=(lambda xs: each_float(h, g.eval_rows(xs)))
             if rows else None,
@@ -135,10 +142,12 @@ class LpRegressionProblem:
     def objective(self) -> GradientOracle:
         """f(x) = sum(q * r) and grad f(x) = 2p A^T q, from one residual
         r = A x - b and one power q = r^(2p-1): ``ipow`` multiplies left to
-        right, so q * r equals r^(2p) bit for bit.
+        right, so q * r equals r^(2p) bit for bit.  Each formula is written
+        once; ``eval`` and ``grad`` form r and q for themselves.
 
-        ``evaluate`` leaves r, read-only, in the step's ``shared`` dict,
-        where :func:`~lfso.core.residual_inf_reader` finds it.
+        ``evaluate`` forms r and q once for both and leaves r, read-only,
+        in the step's ``shared`` dict, where
+        :func:`~lfso.core.residual_inf_reader` finds it.
         ``fast_bound`` reads ``||r||_inf^(2p-2)`` through
         :func:`~lfso.oracles.residual_pow_reader`, as the oracle's ``at``
         does, and returns ``bound_coef * (||r||_inf^(2p-2) * ||r||_inf)``,
@@ -153,17 +162,16 @@ class LpRegressionProblem:
             r = residual(a, b, x)
             return ipow(r, two_p - 1), r
 
-        def value(x: Vector) -> float:
-            q, r = power(x)
+        def value(q: Vector, r: Vector) -> float:
             return float(np.add.reduce(q * r))
 
-        def gradient(x: Vector) -> Vector:
-            return two_p * a_t.dot(power(x)[0])
+        def gradient(q: Vector) -> Vector:
+            return two_p * a_t.dot(q)
 
         def evaluate(x: Vector, shared: dict):
             q, r = power(x)
             shared[res_key] = r
-            return float(np.add.reduce(q * r)), two_p * a_t.dot(q)
+            return value(q, r), gradient(q)
 
         def fast_bound(x: Vector, shared: dict) -> float:
             res_inf, res_pow = read_pow(x, shared)
@@ -176,7 +184,8 @@ class LpRegressionProblem:
             powers = ipow(self.residual_rows(xs), two_p - 1)
             return two_p * np.matmul(a_t, powers[:, :, None])[:, :, 0]
 
-        return GradientOracle(dim=self.d, eval=value, grad=gradient,
+        return GradientOracle(dim=self.d, eval=lambda x: value(*power(x)),
+                              grad=lambda x: gradient(power(x)[0]),
                               grad_norm_bound=lambda x: fast_bound(x, {}),
                               eval_rows=value_rows, grad_rows=gradient_rows,
                               evaluate=evaluate, fast_bound=fast_bound)
@@ -189,7 +198,9 @@ class QuarticProblem:
     forms' products left to right on whole columns.  The oracle squares
     with ``*``, which is correctly rounded in numpy and in Python alike,
     not with ``**``, whose libm ``pow`` is one ulp off on about 0.1% of
-    inputs."""
+    inputs.  A NaN value of the oracle is returned as ``math.nan``: the
+    sum of two NaNs of opposite sign keeps one of them, and numpy's loops
+    and Python's float keep different ones."""
 
     dim = 1
 
@@ -204,10 +215,15 @@ class QuarticProblem:
 
     def lfso(self) -> Lfso:
         def value(x: Vector, r: float) -> float:
-            return 24.0 * _square(float(x[0])) + 24.0 * _square(float(r))
+            v = 24.0 * _square(float(x[0])) + 24.0 * _square(float(r))
+            return v if v == v else math.nan
 
-        return Lfso(eval=value, eval_rows=lambda xs, radii: (
-            24.0 * (xs[:, 0] * xs[:, 0]) + 24.0 * (radii * radii)))
+        def value_rows(xs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+            v = 24.0 * (xs[:, 0] * xs[:, 0]) + 24.0 * (radii * radii)
+            v[np.isnan(v)] = math.nan
+            return v
+
+        return Lfso(eval=value, eval_rows=value_rows)
 
 
 def _square(t: float) -> float:
@@ -281,8 +297,8 @@ def make_lp_regression(a: np.ndarray, b, p: int):
     ``coef`` and ``row_pow`` every reader takes; a max row norm, Gram
     matrix or ``coef`` that is not finite raises
     :class:`NonFiniteValueError`.  The objective's ``evaluate`` leaves the
-    residual ``Ax - b`` in the step's ``shared`` dict, and the fast forms of
-    the gradient-norm bound, the oracle and
+    residual ``Ax - b`` in the step's ``shared`` dict, and the per-iterate
+    forms of the gradient-norm bound, the oracle and
     ``RPolicy.residual_inf_norm`` read its inf-norm from there, so one
     solver iterate costs one product with A and one with A^T.  Both the
     cached constants and the shared residual assume that A and b do not

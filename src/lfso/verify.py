@@ -34,10 +34,10 @@ _QLINEAR_BLOCK_BYTES = 1 << 20
 
 # The sampling checks evaluate row forms where a pair supplies them, and
 # then also send every 17th sample, the first included, through the scalar
-# callables (59 of 1000 validity samples, 2 of 32 monotone samples); the
-# validity check sends the same samples through the solver's fast forms,
-# ``evaluate``, ``fast_bound`` and ``at``, where the pair has them.  Any
-# bit difference is a violation.
+# callables (59 of 1000 validity samples, 2 of 32 monotone samples).  Any
+# bit difference is a violation.  The solver's per-iterate forms are not
+# sampled: each shipped one and its scalar callable are built from one
+# formula, and the tests compare them.
 _CROSS_CHECK_STRIDE = 17
 
 # Inside a :func:`_draw_once` block, the validity samples drawn so far, by
@@ -127,39 +127,6 @@ def _scalar_values(problem: GradientOracle, oracle: Lfso, xs, radii, ys,
     return values
 
 
-def _fast_differing(problem: GradientOracle, oracle: Lfso, xs, radii,
-                    picks: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-    """Whether a value the solver takes from a fast form differs in any bit
-    from its scalar callable's, for each sample of ``picks``.  The fast
-    forms get one ``shared`` dict per sample and are called in the solver
-    loop's order: ``problem.evaluate`` for grad f(x) and f(x), then
-    ``problem.fast_bound`` for the gradient-norm bound, then ``oracle.at``
-    for L(x, R).  ``scalar`` holds the scalar grad f(x), f(x) and L(x, R)
-    of each sample in its leading columns; the scalar bound is formed
-    here.  A call that overflows gives inf."""
-    picks = picks.tolist()
-    bound = problem.fast_bound
-    want = scalar[:, :problem.dim + 2]
-    if bound is not None:
-        want = np.column_stack((want, [_or_inf(problem.grad_norm_bound, xs[i])
-                                       for i in picks]))
-    got = want.copy()
-    for row, i in zip(got, picks):
-        x, r, shared = xs[i], radii[i], {}
-        if problem.evaluate is not None:
-            try:
-                f, g = problem.evaluate(x, shared)
-            except OverflowError:
-                f = g = math.inf
-            row[:problem.dim] = g
-            row[problem.dim] = f
-        if bound is not None:
-            row[-1] = _or_inf(bound, x, shared)
-        if oracle.at is not None:
-            row[problem.dim + 1] = _or_inf(lambda: oracle.at(x, shared)(r))
-    return _rows_differing(want, got)
-
-
 def _validity_samples(spec: SampleSpec, d: int):
     """The (X, R, Y) samples of :func:`check_lfso_validity`: n x d centres,
     the n radii as a list and the n x d ball points."""
@@ -229,13 +196,12 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
     When the objective has ``eval_rows`` and ``grad_rows`` and the oracle
     has ``eval_rows``, the samples are evaluated as rows instead, and a
     stride of them also through the scalar callables: a sample whose
-    values differ in any bit is a violation.  The same stride of samples
-    goes through the solver's fast forms, ``problem.evaluate``,
-    ``problem.fast_bound`` and ``oracle.at``, where the pair has them, with
-    one ``shared`` dict per sample, and a value that differs in any bit
-    from its scalar callable's is a violation too.  So is a sample any of whose
-    values is NaN or infinite, from a call that raised
-    ``OverflowError`` or from overflow (huge radii).  ``violations`` counts
+    values differ in any bit is a violation.  So is a sample any of whose
+    values is NaN or infinite, from a call that raised ``OverflowError``
+    or from overflow (huge radii).  The solver's per-iterate forms,
+    ``problem.evaluate``, ``problem.fast_bound`` and ``oracle.at``, are
+    not called: each shipped one is built from the same formula as its
+    scalar callable, or formed from it at construction.  ``violations`` counts
     each failing sample once, so it never exceeds ``spec.num_points``.
 
     Inside :func:`_draw_once`, as in ``lfso verify``, the samples of a
@@ -245,23 +211,18 @@ def check_lfso_validity(problem: GradientOracle, oracle: Lfso,
         xs, radii, ys = _samples_for(spec, problem.dim)
         diffs = ys - xs
         failed = np.zeros(spec.num_points, dtype=bool)
-        picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
         if (problem.eval_rows is None or problem.grad_rows is None
                 or oracle.eval_rows is None):
             values = _scalar_values(problem, oracle, xs, radii, ys,
                                     np.arange(spec.num_points))
-            scalar = values[picks]
         else:
             values = np.column_stack((
                 problem.grad_rows(xs), problem.eval_rows(xs),
                 oracle.eval_rows(xs, np.array(radii)),
                 problem.eval_rows(ys))).astype(np.float64, copy=False)
+            picks = np.arange(0, spec.num_points, _CROSS_CHECK_STRIDE)
             scalar = _scalar_values(problem, oracle, xs, radii, ys, picks)
             failed[picks] = _rows_differing(scalar, values[picks])
-        if (problem.evaluate is not None or problem.fast_bound is not None
-                or oracle.at is not None):
-            failed[picks] |= _fast_differing(problem, oracle, xs, radii,
-                                             picks, scalar)
         lin = row_dots(values[:, :-3], diffs)
         fx, lvals, fy = values[:, -3], values[:, -2], values[:, -1]
         rhs = 0.5 * lvals * row_dots(diffs, diffs)
@@ -588,8 +549,10 @@ def _residual_norms(a: np.ndarray, b: np.ndarray, iterates: Sequence) -> list:
     ``x_k[J]``, is copied into one reused K x |J| buffer of at most
     ``_QLINEAR_BLOCK_BYTES``, and one matrix product adds its share to all
     K residuals at once.  This reads A once where K matrix-vector products
-    would read it K times.  On A = I with d columns in one block the sums
-    are exact, so the norms equal those of ``A.dot(x_k) - b`` bit for bit.
+    would read it K times.  Each norm is ``sqrt`` of :func:`row_dots`,
+    the dot kernel of ``np.linalg.norm``.  On A = I with d columns in one
+    block the sums are exact, so the norms equal those of
+    ``A.dot(x_k) - b`` bit for bit.
     """
     count = len(iterates)
     d = a.shape[1]
@@ -603,7 +566,7 @@ def _residual_norms(a: np.ndarray, b: np.ndarray, iterates: Sequence) -> list:
             row[:] = x[start:stop]
         res += block @ a[:, start:stop].T
     res -= b
-    return [float(np.linalg.norm(row)) for row in res]
+    return np.sqrt(row_dots(res, res)).tolist()
 
 
 def check_regression_qlinear(problem: LpRegressionProblem, trace: RunTrace,

@@ -268,6 +268,26 @@ class TestUsageErrors:
             "overflow encountered in multiply\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["lp-norm", "--p", "2"],
+         "lfso iteration diverged at k=0: gradient norm is not finite: inf"),
+        (["lp-norm", "--p", "2", "--solver", "fixed", "--eta", "1e-2"],
+         "fixed iteration diverged at k=0: gradient norm is not finite: inf"),
+        (["norm2-pow", "--p", "2"],
+         "lfso iteration diverged at k=0: overflow encountered in multiply")],
+        ids=["lp-norm-lfso", "lp-norm-fixed", "norm2-pow-lfso"])
+    def test_huge_start_names_the_first_failing_value(self, tmp_path, capsys,
+                                                      args, message):
+        # from x0 = 2.9e102 * ones the objective's evaluate overflows, and
+        # grad, its norm check and eval, in that order, name the error
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(" ".join(["2.9e102"] * 10) + "\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(["run", "--problem", *args, "--x0", x0,
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_overflowing_oracle_exits_2(self, tmp_path, capsys):
         # the quartic oracle squares R = 1e200, a Python float overflow
         out = tmp_path / "x.csv"

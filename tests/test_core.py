@@ -144,15 +144,19 @@ class TestLfsoStep:
             one_step(bad, problem, np.ones(2), 0.1)
 
 
+def count(calls, name, fn):
+    """``fn``, adding one to ``calls[name]`` on each call."""
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapped
+
+
 def counted(problem, calls):
     """``problem`` with its objective and gradient counting their calls."""
-    def count(name, fn):
-        def wrapped(x):
-            calls[name] += 1
-            return fn(x)
-        return wrapped
-    return GradientOracle(dim=problem.dim, eval=count("eval", problem.eval),
-                          grad=count("grad", problem.grad))
+    return GradientOracle(dim=problem.dim,
+                          eval=count(calls, "eval", problem.eval),
+                          grad=count(calls, "grad", problem.grad))
 
 
 @pytest.mark.parametrize("solver", ["lfso", "fixed"])
@@ -163,19 +167,54 @@ def counted(problem, calls):
 ])
 def test_each_iterate_evaluated_once(solver, eta, max_iters, grad_tol,
                                      termination, steps):
-    # on ||x||^2 with L = 2 both solvers halve x (eta = 0.5) or jump to 0
+    # on ||x||^2 with L = 2 both solvers halve x (eta = 0.5) or jump to 0;
+    # the pair and policy are built from scalar callables alone, as a
+    # tracer that wraps them builds them, and get every per-iterate form
     problem, oracle = quadratic(3)
-    calls = {"eval": 0, "grad": 0}
+    calls = dict.fromkeys(["eval", "grad", "bound", "oracle", "policy"], 0)
+    objective = GradientOracle(
+        dim=3, eval=count(calls, "eval", problem.eval),
+        grad=count(calls, "grad", problem.grad),
+        grad_norm_bound=count(calls, "bound", lambda x: 2.0 * euclidean_norm(x)))
+    oracle = Lfso(eval=count(calls, "oracle", oracle.eval))
+    policy = RPolicy("callback", count(calls, "policy", lambda x: 1.0))
+    assert None not in (objective.evaluate, objective.fast_bound, oracle.at,
+                        policy.fast)
     if solver == "lfso":
-        config = SolverConfig(r_policy=RPolicy.constant(1.0), eta=eta,
-                              max_iters=max_iters, grad_tol=grad_tol)
-        trace = run_lfso_gd(oracle, counted(problem, calls), np.ones(3), config)
+        config = SolverConfig(r_policy=policy, eta=eta, max_iters=max_iters,
+                              grad_tol=grad_tol, use_grad_bound=True)
+        trace = run_lfso_gd(oracle, objective, np.ones(3), config)
     else:
-        trace = run_fixed_gd(counted(problem, calls), np.ones(3), eta / 2.0,
+        trace = run_fixed_gd(objective, np.ones(3), eta / 2.0,
                              max_iters=max_iters, grad_tol=grad_tol)
     assert trace.termination is termination
     assert trace.num_steps == steps
-    assert calls == {"eval": steps + 1, "grad": steps + 1}
+    per_step = steps if solver == "lfso" else 0
+    assert calls == {"eval": steps + 1, "grad": steps + 1, "bound": per_step,
+                     "oracle": 2 * per_step, "policy": per_step}
+
+
+def test_replace_with_none_forms_the_default_again():
+    # a form set to None by dataclasses.replace is formed again from the
+    # copy's scalar callables: evaluate calls grad and then eval
+    problem, oracle = quadratic(3)
+    calls = []
+    objective = replace(
+        problem, eval=lambda x: calls.append("eval") or 5.0,
+        grad=lambda x: calls.append("grad") or np.full(3, 7.0),
+        grad_norm_bound=lambda x: 11.0,
+        evaluate=lambda x, shared: (0.0, np.zeros(3)), fast_bound=None)
+    assert objective.evaluate(np.ones(3), {})[0] == 0.0
+    formed = replace(objective, evaluate=None)
+    f, g = formed.evaluate(np.ones(3), {})
+    assert (f, g.tolist(), calls) == (5.0, [7.0] * 3, ["grad", "eval"])
+    assert formed.fast_bound(np.ones(3), {}) == 11.0
+    oracle = replace(oracle, at=lambda x, shared: lambda r: 0.0)
+    assert replace(oracle, eval=lambda x, r: 3.0 * r, at=None).at(
+        np.ones(3), {})(2.0) == 6.0
+    policy = replace(RPolicy.constant(1.0), fn=lambda x: 4, fast=None)
+    value = policy.fast(np.ones(3), {})
+    assert value == 4.0 and type(value) is float
 
 
 @pytest.mark.parametrize("solver", ["lfso", "fixed"])
@@ -223,8 +262,8 @@ SHIPPED_RUNS = shipped_runs()
 
 
 def scalar_only(bundle):
-    """``bundle`` without any fast form: the pair and policy a tracer that
-    rebuilds them runs."""
+    """``bundle`` with every per-iterate form formed again from the scalar
+    callables: the pair and policy a tracer that rebuilds them runs."""
     return replace(bundle,
                    objective=replace(bundle.objective, evaluate=None,
                                      fast_bound=None),
@@ -243,15 +282,13 @@ def test_fast_bound_needs_the_bound_it_stands_in_for():
 
 @pytest.mark.parametrize("label", sorted(SHIPPED_RUNS))
 def test_fast_forms_leave_every_trace_unchanged(label):
-    # the solvers give the same bits with evaluate, fast_bound, at and the
-    # policy's fast form as with the scalar callables alone, and with any
-    # one of them taken away, so the readers that remain compute the
-    # shared values the missing one left
+    # the solvers give the same bits with the shipped evaluate, fast_bound,
+    # at and policy fast form as with forms formed from the scalar
+    # callables, for all of them and for any one of them, so the readers
+    # that remain compute the shared values the replaced one left
     cfg, bundle = SHIPPED_RUNS[label]
     objective, oracle, policy = bundle.objective, bundle.lfso, bundle.r_policy
-    structured = cfg.problem != "quartic"
-    assert (objective.evaluate is not None) == structured
-    assert (oracle.at is not None) == structured
+    assert None not in (objective.evaluate, oracle.at, policy.fast)
     assert (objective.fast_bound is not None) == (bundle.regression is not None)
     fingerprint = TestConcurrentRuns.fingerprint
     fast = fingerprint(cli.execute(cfg, bundle))
